@@ -29,12 +29,12 @@
 //! the current [`PressureSignals`], so tests can drive it with synthetic
 //! load and the engine wires it to the live stack.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use sias_common::{SiasError, SiasResult};
-use sias_obs::{Counter, FlightRecorder, Gauge, Histogram, Registry, SpanName};
+use sias_obs::{FlightRecorder, SpanName};
+use sias_txn::AdmissionMetrics;
 
 /// Limits and timing knobs of the admission gate. A limit of `0` means
 /// "unbounded" for that signal; with all limits 0 (or `enabled` false)
@@ -105,29 +105,16 @@ const PRESSURE_DIRTY: i64 = 4;
 /// The admission gate. One per engine; shared by every session thread.
 pub struct AdmissionGate {
     cfg: RwLock<AdmissionConfig>,
-    /// Begins admitted (with or without delay).
-    pub admitted: Arc<Counter>,
-    /// Begins that were parked at least one tick before admission.
-    pub delayed: Arc<Counter>,
-    /// Begins refused with a typed `Overloaded` error (try path only).
-    pub shed: Arc<Counter>,
-    /// Microseconds spent parked before admission or shed.
-    pub delay_us: Arc<Histogram>,
-    /// Bitmask of signals currently over limit (1 txns, 2 wal, 4 dirty).
-    pub pressure: Arc<Gauge>,
+    /// The `core.admission.*` counters, gauge and histogram.
+    metrics: AdmissionMetrics,
 }
 
 impl AdmissionGate {
-    /// Builds a gate reporting into `obs`, initially disabled.
-    pub fn with_registry(obs: &Registry) -> Self {
-        AdmissionGate {
-            cfg: RwLock::new(AdmissionConfig::default()),
-            admitted: obs.counter("core.admission.admitted"),
-            delayed: obs.counter("core.admission.delayed"),
-            shed: obs.counter("core.admission.shed"),
-            delay_us: obs.histogram("core.admission.delay_us"),
-            pressure: obs.gauge("core.admission.pressure"),
-        }
+    /// Builds a gate reporting into the engine's shared admission
+    /// metrics ([`sias_txn::EngineMetrics::admission`]), initially
+    /// disabled.
+    pub fn new(metrics: AdmissionMetrics) -> Self {
+        AdmissionGate { cfg: RwLock::new(AdmissionConfig::default()), metrics }
     }
 
     /// Replaces the gate's limits (benches flip the gate on/off and the
@@ -176,11 +163,11 @@ impl AdmissionGate {
     ) -> Duration {
         let cfg = self.cfg.read().clone();
         if !cfg.enabled {
-            self.admitted.inc();
+            self.metrics.admitted.inc();
             return Duration::ZERO;
         }
         let waited = self.wait_for_clearance(&cfg, tracer, &mut probe);
-        self.admitted.inc();
+        self.metrics.admitted.inc();
         waited
     }
 
@@ -195,14 +182,14 @@ impl AdmissionGate {
     ) -> SiasResult<Duration> {
         let cfg = self.cfg.read().clone();
         if !cfg.enabled {
-            self.admitted.inc();
+            self.metrics.admitted.inc();
             return Ok(Duration::ZERO);
         }
         let waited = self.wait_for_clearance(&cfg, tracer, &mut probe);
         let mask = Self::over_mask(&cfg, &probe());
-        self.pressure.set(mask);
+        self.metrics.pressure.set(mask);
         if mask != 0 {
-            self.shed.inc();
+            self.metrics.shed.inc();
             tracer.instant(SpanName::AdmissionShed, 0, mask as u64);
             // Advise the client to stay away for one full delay budget:
             // anything shorter and the retry lands in the same overload
@@ -210,7 +197,7 @@ impl AdmissionGate {
             let retry_after_ms = (cfg.max_delay.as_millis() as u64).max(1);
             return Err(SiasError::Overloaded { retry_after_ms });
         }
-        self.admitted.inc();
+        self.metrics.admitted.inc();
         Ok(waited)
     }
 
@@ -224,7 +211,7 @@ impl AdmissionGate {
         probe: &mut impl FnMut() -> PressureSignals,
     ) -> Duration {
         let mask = Self::over_mask(cfg, &probe());
-        self.pressure.set(mask);
+        self.metrics.pressure.set(mask);
         if mask == 0 {
             return Duration::ZERO;
         }
@@ -239,15 +226,15 @@ impl AdmissionGate {
             std::thread::sleep(cfg.delay_tick.min(cfg.max_delay - elapsed));
             ticks += 1;
             let mask = Self::over_mask(cfg, &probe());
-            self.pressure.set(mask);
+            self.metrics.pressure.set(mask);
             if mask == 0 {
                 break;
             }
         }
         span.set_arg(ticks);
         let waited = start.elapsed();
-        self.delayed.inc();
-        self.delay_us.record(waited.as_micros() as u64);
+        self.metrics.delayed.inc();
+        self.metrics.delay_us.record(waited.as_micros() as u64);
         waited
     }
 }
@@ -255,11 +242,13 @@ impl AdmissionGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sias_obs::Registry;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn gate(cfg: AdmissionConfig) -> (AdmissionGate, Arc<Registry>, FlightRecorder) {
         let obs = Registry::new_shared();
-        let g = AdmissionGate::with_registry(&obs);
+        let g = AdmissionGate::new(sias_txn::EngineMetrics::register(&obs).admission);
         g.set_config(cfg);
         (g, obs, FlightRecorder::new(sias_obs::TraceConfig::default()))
     }
@@ -269,7 +258,7 @@ mod tests {
         let (g, _obs, tr) = gate(AdmissionConfig::default());
         let waited = g.admit_blocking(&tr, || panic!("disabled gate must not probe"));
         assert_eq!(waited, Duration::ZERO);
-        assert_eq!(g.admitted.get(), 1);
+        assert_eq!(g.metrics.admitted.get(), 1);
         assert!(g.try_admit(&tr, || panic!("disabled gate must not probe")).is_ok());
     }
 
@@ -290,9 +279,9 @@ mod tests {
             g.admit_blocking(&tr, || PressureSignals { active_txns: 10, ..Default::default() });
         assert!(waited >= Duration::from_millis(15), "parked {waited:?}");
         assert!(start.elapsed() < Duration::from_millis(500));
-        assert_eq!(g.admitted.get(), 1);
-        assert_eq!(g.delayed.get(), 1);
-        assert_eq!(g.pressure.get(), 1); // txns bit
+        assert_eq!(g.metrics.admitted.get(), 1);
+        assert_eq!(g.metrics.delayed.get(), 1);
+        assert_eq!(g.metrics.pressure.get(), 1); // txns bit
     }
 
     #[test]
@@ -312,7 +301,7 @@ mod tests {
         });
         // Cleared after ~3 ticks — nowhere near the 5 s budget.
         assert!(waited < Duration::from_secs(1), "parked {waited:?}");
-        assert_eq!(g.pressure.get(), 0);
+        assert_eq!(g.metrics.pressure.get(), 0);
     }
 
     #[test]
@@ -333,9 +322,9 @@ mod tests {
             other => panic!("expected Overloaded, got {other:?}"),
         }
         assert!(err.is_retryable_overload());
-        assert_eq!(g.shed.get(), 1);
-        assert_eq!(g.admitted.get(), 0);
-        assert_eq!(g.pressure.get(), 2); // wal bit
+        assert_eq!(g.metrics.shed.get(), 1);
+        assert_eq!(g.metrics.admitted.get(), 0);
+        assert_eq!(g.metrics.pressure.get(), 2); // wal bit
     }
 
     #[test]
@@ -354,7 +343,7 @@ mod tests {
             wal_backlog_bytes: 5,
             dirty_pct: 5,
         });
-        assert_eq!(g.pressure.get(), 7);
-        assert_eq!(g.shed.get(), 1);
+        assert_eq!(g.metrics.pressure.get(), 7);
+        assert_eq!(g.metrics.shed.get(), 1);
     }
 }

@@ -151,15 +151,15 @@ pub fn visible_versions_batch(
     snapshot: &Snapshot,
     clog: &Clog,
 ) -> SiasResult<(Vec<ResolvedCursor>, BatchStats)> {
-    visible_versions_batch_deadline(pool, rel, entries, snapshot, clog, None, Xid(0))
+    visible_versions_batch_deadline(pool, rel, entries, snapshot, clog, None)
 }
 
 /// Deadline-honoring batched traversal: identical to
 /// [`visible_versions_batch`], but between rounds (the natural
 /// cancellation points — each round is one bounded sweep of pinned
 /// pages) an expired `deadline` aborts the scan with a typed
-/// [`SiasError::DeadlineExceeded`] for `xid`. No partial results leak:
-/// the caller sees only the error.
+/// [`SiasError::DeadlineExceeded`] for the snapshot's transaction. No
+/// partial results leak: the caller sees only the error.
 pub fn visible_versions_batch_deadline(
     pool: &BufferPool,
     rel: RelId,
@@ -167,7 +167,6 @@ pub fn visible_versions_batch_deadline(
     snapshot: &Snapshot,
     clog: &Clog,
     deadline: Option<std::time::Instant>,
-    xid: Xid,
 ) -> SiasResult<(Vec<ResolvedCursor>, BatchStats)> {
     let mut out: Vec<ResolvedCursor> =
         entries.iter().map(|&(vid, _)| ResolvedCursor { vid, visible: None, depth: 0 }).collect();
@@ -180,7 +179,7 @@ pub fn visible_versions_batch_deadline(
     while !pending.is_empty() {
         if let Some(d) = deadline {
             if std::time::Instant::now() >= d {
-                return Err(sias_common::SiasError::DeadlineExceeded { xid });
+                return Err(sias_common::SiasError::DeadlineExceeded { xid: snapshot.xid });
             }
         }
         pending.sort_unstable_by_key(|&(_, tid)| tid.block);

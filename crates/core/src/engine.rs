@@ -17,14 +17,15 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
 use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_index::BPlusTree;
 use sias_obs::{time, MetricsSnapshot, Registry, SpanName};
-use sias_storage::{StorageConfig, StorageStack, WalRecord};
-use sias_txn::{EngineMetrics, MvccEngine, TransactionManager, Txn};
+use sias_storage::{BufferPool, StorageConfig, StorageStack, WalRecord};
+use sias_txn::{Clog, EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn};
 
 use crate::admission::{AdmissionGate, PressureSignals};
 use crate::append::{AppendRegion, FlushPolicy};
@@ -62,8 +63,9 @@ pub struct SiasDb {
     policy: FlushPolicy,
     /// Pages per background-writer round under the t1 policy.
     bgwriter_budget: usize,
-    /// Pre-resolved metric handles (same names as the SI baseline).
-    pub(crate) metrics: EngineMetrics,
+    /// Pre-resolved metric handles (same names as the SI baseline),
+    /// shared with the scan workers.
+    pub(crate) metrics: Arc<EngineMetrics>,
     /// Long-lived workers shared by every parallel VID-map scan.
     scan_pool: ScanPool,
     /// Shared state of the online-maintenance subsystems (deferred
@@ -85,9 +87,9 @@ impl SiasDb {
     pub fn open_with_policy(cfg: StorageConfig, policy: FlushPolicy) -> Self {
         let stack = StorageStack::new(&cfg);
         let txm = Arc::new(TransactionManager::with_registry(&stack.obs));
-        let metrics = EngineMetrics::register(&stack.obs);
+        let metrics = Arc::new(EngineMetrics::register(&stack.obs));
         let scan_pool = ScanPool::with_registry(MAX_SCAN_WORKERS, &stack.obs);
-        let admission = AdmissionGate::with_registry(&stack.obs);
+        let admission = AdmissionGate::new(metrics.admission.clone());
         SiasDb {
             stack,
             txm,
@@ -405,36 +407,23 @@ impl SiasDb {
 
     /// Batched ("vectorized") scan over the VID map: same results as
     /// [`SiasDb::scan_vidmap`], but all chains are walked together with
-    /// page-grouped traversal ([`visible_versions_batch`]) — each page is
-    /// pinned once per round and serves every cursor resident on it,
-    /// instead of one pin per version per item. Page visits and versions
-    /// fetched land in `core.engine.scan_page_visits` /
-    /// `core.engine.scan_versions_fetched`.
+    /// page-grouped traversal ([`visible_versions_batch_deadline`]) —
+    /// each page is pinned once per round and serves every cursor
+    /// resident on it, instead of one pin per version per item.
     pub fn scan_vidmap_batched(&self, txn: &Txn, rel: RelId) -> SiasResult<Vec<(Vid, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanAll).txn(txn.xid.0);
         let r = self.relation_handle(rel)?;
         let entries = Self::vidmap_entries(&r);
-        let (resolved, stats) = visible_versions_batch_deadline(
+        let visible = resolve_visible(
             &self.stack.pool,
+            &self.txm.clog,
+            &self.metrics,
             rel,
             &entries,
             &txn.snapshot,
-            &self.txm.clog,
             txn.deadline,
-            txn.xid,
         )?;
-        self.metrics.scan_page_visits.add(stats.page_visits);
-        self.metrics.scan_versions_fetched.add(stats.versions_fetched);
-        let mut out = Vec::with_capacity(resolved.len());
-        for c in resolved {
-            self.metrics.chain_depth.record(c.depth);
-            if let Some((_, v)) = c.visible {
-                if !v.tombstone {
-                    out.push((c.vid, v.payload));
-                }
-            }
-        }
-        Ok(out)
+        Ok(visible.into_iter().map(|(i, payload)| (entries[i].0, payload)).collect())
     }
 
     /// Parallel scan over the VID map — §4.2.1: "Note: This access path
@@ -462,27 +451,13 @@ impl SiasDb {
         let chunks = Self::partition(entries, threads);
         let pool = Arc::clone(&self.stack.pool);
         let txm = Arc::clone(&self.txm);
+        let metrics = Arc::clone(&self.metrics);
         let snapshot = txn.snapshot.clone();
-        let (deadline, xid) = (txn.deadline, txn.xid);
-        let chain_depth = Arc::clone(&self.metrics.chain_depth);
-        let page_visits = Arc::clone(&self.metrics.scan_page_visits);
-        let versions_fetched = Arc::clone(&self.metrics.scan_versions_fetched);
+        let deadline = txn.deadline;
         let results: Vec<SiasResult<Vec<(Vid, Bytes)>>> = self.scan_pool.run(chunks, move |part| {
-            let (resolved, stats) = visible_versions_batch_deadline(
-                &pool, rel, &part, &snapshot, &txm.clog, deadline, xid,
-            )?;
-            page_visits.add(stats.page_visits);
-            versions_fetched.add(stats.versions_fetched);
-            let mut local = Vec::with_capacity(resolved.len());
-            for c in resolved {
-                chain_depth.record(c.depth);
-                if let Some((_, v)) = c.visible {
-                    if !v.tombstone {
-                        local.push((c.vid, v.payload));
-                    }
-                }
-            }
-            Ok(local)
+            let visible =
+                resolve_visible(&pool, &txm.clog, &metrics, rel, &part, &snapshot, deadline)?;
+            Ok(visible.into_iter().map(|(i, payload)| (part[i].0, payload)).collect())
         });
         let mut out: Vec<(Vid, Bytes)> = Vec::new();
         for part in results {
@@ -716,6 +691,10 @@ impl SiasDb {
         Ok(None)
     }
 
+    /// Key-range scan: the index records in `[lo, hi]` are resolved to
+    /// chain entrypoints through the VID map (records whose slot GC
+    /// cleared are skipped, as in [`SiasDb::read_item`]), then all
+    /// chains are walked together with [`resolve_visible`].
     fn scan_range_inner(
         &self,
         txn: &Txn,
@@ -724,15 +703,28 @@ impl SiasDb {
         hi: u64,
     ) -> SiasResult<Vec<(u64, Bytes)>> {
         let r = self.relation_handle(rel)?;
-        let mut out = Vec::new();
-        for (key, vid) in r.index.range(lo, hi)? {
-            txn.check_deadline()?;
-            if let Some(payload) = self.read_item_inner(txn, rel, Vid(vid))? {
-                self.ssi_read(txn, rel, key)?;
-                out.push((key, payload));
-            }
-        }
-        Ok(out)
+        let (keys, entries): (Vec<u64>, Vec<(Vid, Tid)>) = r
+            .index
+            .range(lo, hi)?
+            .into_iter()
+            .filter_map(|(key, vid)| Some((key, (Vid(vid), r.vidmap.get(Vid(vid))?))))
+            .unzip();
+        let visible = resolve_visible(
+            &self.stack.pool,
+            &self.txm.clog,
+            &self.metrics,
+            rel,
+            &entries,
+            &txn.snapshot,
+            txn.deadline,
+        )?;
+        visible
+            .into_iter()
+            .map(|(i, payload)| {
+                self.ssi_read(txn, rel, keys[i])?;
+                Ok((keys[i], payload))
+            })
+            .collect()
     }
 
     /// Emergency space reclaim: a vacuum pass (frees dead versions so
@@ -781,6 +773,38 @@ impl SiasDb {
         m.vidmap_lookups.add(lookups.saturating_sub(m.vidmap_lookups.get()));
         m.vidmap_resizes.add(resizes.saturating_sub(m.vidmap_resizes.get()));
     }
+}
+
+/// The resolve loop every batched scan shares: walks all `entries`
+/// together with [`visible_versions_batch_deadline`] (one pin per page
+/// per round, deadline checked between rounds), adds its page visits
+/// and versions fetched to `core.engine.scan_page_visits` /
+/// `core.engine.scan_versions_fetched`, records one chain depth per
+/// entry, and returns the visible non-tombstone payloads as
+/// `(position in entries, payload)`, in input order.
+fn resolve_visible(
+    pool: &BufferPool,
+    clog: &Clog,
+    metrics: &EngineMetrics,
+    rel: RelId,
+    entries: &[(Vid, Tid)],
+    snapshot: &Snapshot,
+    deadline: Option<Instant>,
+) -> SiasResult<Vec<(usize, Bytes)>> {
+    let (resolved, stats) =
+        visible_versions_batch_deadline(pool, rel, entries, snapshot, clog, deadline)?;
+    metrics.scan_page_visits.add(stats.page_visits);
+    metrics.scan_versions_fetched.add(stats.versions_fetched);
+    let mut out = Vec::with_capacity(resolved.len());
+    for (i, c) in resolved.into_iter().enumerate() {
+        metrics.chain_depth.record(c.depth);
+        if let Some((_, v)) = c.visible {
+            if !v.tombstone {
+                out.push((i, v.payload));
+            }
+        }
+    }
+    Ok(out)
 }
 
 impl MvccEngine for SiasDb {

@@ -83,6 +83,15 @@ impl Node {
             k => return Err(SiasError::Index(format!("bad node kind byte {k}"))),
         };
         let count = u16::from_le_bytes([b[2], b[3]]) as usize;
+        let capacity = match kind {
+            NodeKind::Leaf => LEAF_CAPACITY,
+            NodeKind::Internal => INTERNAL_CAPACITY,
+        };
+        if count > capacity {
+            return Err(SiasError::Index(format!(
+                "{kind:?} node claims {count} entries, capacity is {capacity}"
+            )));
+        }
         let sib = u32::from_le_bytes(b[4..8].try_into().unwrap());
         let first_child = u32::from_le_bytes(b[8..12].try_into().unwrap());
         let mut entries = Vec::with_capacity(count);
@@ -308,5 +317,29 @@ mod tests {
     fn bad_kind_byte_rejected() {
         let p = Page::new();
         assert!(Node::read(&p).is_err());
+    }
+
+    #[test]
+    fn entry_count_past_capacity_is_an_error_not_a_panic() {
+        // A device image whose count field exceeds what fits in the page
+        // body (the pool skips the CRC check of pages stored with CRC 0).
+        for (kind, capacity) in [(KIND_LEAF, LEAF_CAPACITY), (KIND_INTERNAL, INTERNAL_CAPACITY)] {
+            for count in [capacity + 1, u16::MAX as usize] {
+                let mut p = Page::new();
+                let b = p.body_mut();
+                b[0] = kind;
+                b[2..4].copy_from_slice(&(count as u16).to_le_bytes());
+                assert!(
+                    matches!(Node::read(&p), Err(SiasError::Index(_))),
+                    "kind {kind} count {count}"
+                );
+            }
+            // Exactly full still decodes.
+            let mut p = Page::new();
+            let b = p.body_mut();
+            b[0] = kind;
+            b[2..4].copy_from_slice(&(capacity as u16).to_le_bytes());
+            assert_eq!(Node::read(&p).unwrap().entries.len(), capacity);
+        }
     }
 }

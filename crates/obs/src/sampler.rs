@@ -192,14 +192,16 @@ pub struct SamplerHandle {
 }
 
 impl SamplerHandle {
+    /// The baseline snapshot is taken here, on the caller's thread, so
+    /// every update the caller makes after `spawn` returns is counted.
     pub fn spawn(registry: Arc<Registry>, interval: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
+        let start = Instant::now();
+        let mut sampler = Sampler::new(registry);
         let join = std::thread::Builder::new()
             .name("obs-sampler".into())
             .spawn(move || {
-                let start = Instant::now();
-                let mut sampler = Sampler::new(registry);
                 // Sleep in small slices so stop() returns promptly even
                 // with a long interval.
                 let slice = interval.min(Duration::from_millis(20)).max(Duration::from_millis(1));

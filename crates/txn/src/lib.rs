@@ -34,6 +34,6 @@ pub use clog::{Clog, TxnStatus};
 pub use engine::MvccEngine;
 pub use locks::{LockOutcome, LockTable};
 pub use manager::{TransactionManager, Txn};
-pub use metrics::EngineMetrics;
+pub use metrics::{AdmissionMetrics, EngineMetrics};
 pub use snapshot::{Snapshot, VisibilityMemo};
 pub use ssi::{SsiState, SsiVerdict};

@@ -15,7 +15,39 @@
 
 use std::sync::Arc;
 
-use sias_obs::{Counter, FlightRecorder, Histogram, Registry};
+use sias_obs::{BulkResolver, Counter, FlightRecorder, Gauge, Histogram, Registry};
+
+/// Handles of the `core.admission.*` family. Registered with the rest
+/// of [`EngineMetrics`], so an engine without an admission gate (the SI
+/// baseline) still exposes the same names, at zero.
+#[derive(Clone)]
+pub struct AdmissionMetrics {
+    /// `core.admission.admitted` — begins admitted, with or without delay.
+    pub admitted: Arc<Counter>,
+    /// `core.admission.delayed` — begins parked at least one tick.
+    pub delayed: Arc<Counter>,
+    /// `core.admission.shed` — begins refused with a typed `Overloaded`
+    /// error (try path only).
+    pub shed: Arc<Counter>,
+    /// `core.admission.delay_us` — microseconds parked before admission
+    /// or shed.
+    pub delay_us: Arc<Histogram>,
+    /// `core.admission.pressure` — bitmask of signals currently over
+    /// limit (1 txns, 2 wal, 4 dirty).
+    pub pressure: Arc<Gauge>,
+}
+
+impl AdmissionMetrics {
+    fn register(h: &mut BulkResolver<'_>) -> Self {
+        AdmissionMetrics {
+            admitted: h.counter("core.admission.admitted"),
+            delayed: h.counter("core.admission.delayed"),
+            shed: h.counter("core.admission.shed"),
+            delay_us: h.histogram("core.admission.delay_us"),
+            pressure: h.gauge("core.admission.pressure"),
+        }
+    }
+}
 
 /// Pre-resolved handles for everything an engine records.
 pub struct EngineMetrics {
@@ -32,12 +64,13 @@ pub struct EngineMetrics {
     /// `core.engine.chain_depth` — versions traversed per visibility
     /// resolution (the paper's chain-length cost).
     pub chain_depth: Arc<Histogram>,
-    /// `core.engine.scan_page_visits` — pages pinned by batched scans
-    /// (one pin serves every cursor resident on the page; stays zero on
-    /// scalar paths and on the SI baseline).
+    /// `core.engine.scan_page_visits` — pages pinned by batched scans,
+    /// key-range and VID-map (one pin serves every cursor resident on
+    /// the page; stays zero on scalar paths and on the SI baseline).
     pub scan_page_visits: Arc<Counter>,
     /// `core.engine.scan_versions_fetched` — tuple versions fetched and
-    /// decoded by VID-map scans (the paper's `C_R` count for scans).
+    /// decoded by key-range and VID-map scans (the paper's `C_R` count
+    /// for scans).
     pub scan_versions_fetched: Arc<Counter>,
     /// `core.vidmap.lookups` — VID map (or SI index) entrypoint lookups.
     pub vidmap_lookups: Arc<Counter>,
@@ -59,6 +92,8 @@ pub struct EngineMetrics {
     pub gc_pause: Arc<Histogram>,
     /// `txn.manager.aborts_write_conflict` — first-updater-wins losers.
     pub write_conflicts: Arc<Counter>,
+    /// The `core.admission.*` family (see [`AdmissionMetrics`]).
+    pub admission: AdmissionMetrics,
     /// The registry's flight recorder, so engines open spans without a
     /// registry round-trip. Inert until the host enables tracing.
     pub tracer: Arc<FlightRecorder>,
@@ -90,6 +125,7 @@ impl EngineMetrics {
             gc_items_cleared: h.counter("core.gc.items_cleared"),
             gc_pause: h.histogram("core.gc.pause"),
             write_conflicts: h.counter("txn.manager.aborts_write_conflict"),
+            admission: AdmissionMetrics::register(&mut h),
             tracer,
         }
     }

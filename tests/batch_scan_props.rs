@@ -1,15 +1,18 @@
 //! Property-based equivalence of the scan engines: on arbitrary
-//! histories — including aborted writers and tombstones — the batched
-//! page-grouped scan, the parallel batched scan, and the parallel
-//! scalar scan must all return exactly what the serial scalar
-//! `scan_vidmap` returns, both for a fresh snapshot and for a reader
-//! whose snapshot was taken mid-history (forcing chain walks past
-//! invisible heads).
+//! histories — including aborted writers, tombstones and deleted keys
+//! inserted again — the batched page-grouped scan, the parallel batched
+//! scan, and the parallel scalar scan must all return exactly what the
+//! serial scalar `scan_vidmap` returns, and the batched key-range scan
+//! `scan_range` exactly what the scalar oracle returns (the index
+//! records of the range, each read through the scalar `read_item`).
+//! Both hold for a fresh snapshot and for a reader whose snapshot was
+//! taken mid-history (forcing chain walks past invisible heads).
 
 use proptest::prelude::*;
+use sias::common::{RelId, Vid};
 use sias::core::SiasDb;
 use sias::storage::StorageConfig;
-use sias::txn::MvccEngine;
+use sias::txn::{MvccEngine, Txn};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -38,7 +41,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// insert, update/delete of a missing key) abort harmlessly, and the
 /// `Aborted*` variants roll back on purpose so their versions sit at
 /// chain heads as invisible residue.
-fn apply(db: &SiasDb, rel: sias::common::RelId, op: &Op) {
+fn apply(db: &SiasDb, rel: RelId, op: &Op) {
     let t = db.begin();
     let committed = match op {
         Op::Insert(k, v) => db.insert(&t, rel, *k as u64, v).is_ok(),
@@ -60,9 +63,31 @@ fn apply(db: &SiasDb, rel: sias::common::RelId, op: &Op) {
     }
 }
 
+/// The scalar oracle of `scan_range`: every index record in `[lo, hi]`,
+/// in index order, read through the scalar point-read walk.
+fn scalar_range(db: &SiasDb, rel: RelId, reader: &Txn, lo: u64, hi: u64) -> Vec<(u64, Vec<u8>)> {
+    let index_records = db.relation_handle(rel).unwrap().index.range(lo, hi).unwrap();
+    index_records
+        .into_iter()
+        .filter_map(|(key, vid)| {
+            db.read_item(reader, rel, Vid(vid)).unwrap().map(|p| (key, p.to_vec()))
+        })
+        .collect()
+}
+
 /// Asserts every scan engine agrees with the serial scalar walk for
-/// this reader.
-fn assert_scans_agree(db: &SiasDb, rel: sias::common::RelId, reader: &sias::txn::Txn) {
+/// this reader, and `scan_range` with its scalar oracle over a single
+/// key, the whole key space, an empty range, `lo > hi` and `window`.
+fn assert_scans_agree(db: &SiasDb, rel: RelId, reader: &Txn, window: (u64, u64)) {
+    for (lo, hi) in [(7, 7), (0, u64::MAX), (300, 400), (9, 3), window] {
+        let batched: Vec<(u64, Vec<u8>)> = db
+            .scan_range(reader, rel, lo, hi)
+            .unwrap()
+            .into_iter()
+            .map(|(key, p)| (key, p.to_vec()))
+            .collect();
+        assert_eq!(batched, scalar_range(db, rel, reader, lo, hi), "scan_range({lo}, {hi})");
+    }
     let serial = db.scan_vidmap(reader, rel).unwrap();
     assert_eq!(db.scan_vidmap_batched(reader, rel).unwrap(), serial, "batched");
     for threads in [2, 3] {
@@ -86,6 +111,7 @@ proptest! {
     fn batched_scan_equals_scalar_on_random_histories(
         ops in proptest::collection::vec(op_strategy(), 1..120),
         split in 0usize..120,
+        window in (0u64..260, 0u64..260),
     ) {
         let db = SiasDb::open(StorageConfig::in_memory());
         let rel = db.create_relation("t");
@@ -100,8 +126,8 @@ proptest! {
             apply(&db, rel, op);
         }
         let fresh_reader = db.begin();
-        assert_scans_agree(&db, rel, &mid_reader);
-        assert_scans_agree(&db, rel, &fresh_reader);
+        assert_scans_agree(&db, rel, &mid_reader, window);
+        assert_scans_agree(&db, rel, &fresh_reader, window);
         db.commit(mid_reader).unwrap();
         db.commit(fresh_reader).unwrap();
     }

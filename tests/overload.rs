@@ -224,8 +224,9 @@ fn expired_deadline_fails_writes_and_scans_without_waiting() {
     let start = Instant::now();
     assert!(matches!(db.update(&t, rel, 1, b"late"), Err(SiasError::DeadlineExceeded { .. })));
     assert!(matches!(db.scan_all(&t, rel), Err(SiasError::DeadlineExceeded { .. })));
-    // The batched access path honors it too.
+    // The batched access paths honor it too.
     assert!(matches!(db.scan_vidmap_batched(&t, rel), Err(SiasError::DeadlineExceeded { .. })));
+    assert!(matches!(db.scan_range(&t, rel, 10, 20), Err(SiasError::DeadlineExceeded { .. })));
     assert!(start.elapsed() < Duration::from_millis(200), "expired deadline must not wait");
     db.abort(t);
 }
