@@ -131,20 +131,33 @@ impl AppendRegion {
     /// dropped without write-back and the device page is TRIMmed — dead
     /// append pages must never be relocated by the FTL's own garbage
     /// collector (§6).
+    ///
+    /// The discard runs under the region lock, before the block joins
+    /// the free list: an append that reopened the block in between would
+    /// otherwise lose what it wrote when the late discard dropped the
+    /// cached page.
     pub fn recycle(&self, block: BlockId) {
         let mut st = self.state.lock();
         if st.open == Some(block) {
             st.open = None;
         }
-        st.free.insert(block);
-        drop(st);
         let _ = self.pool.discard_block(self.rel, block);
+        st.free.insert(block);
     }
 
     /// True when `block` sits on the reclaimed free list (its contents
     /// are dead and must not be scanned).
     pub fn is_free(&self, block: BlockId) -> bool {
         self.state.lock().free.contains(&block)
+    }
+
+    /// True when `block` is neither the open append page nor on the free
+    /// list: its contents are final until a recycle frees it. Both are
+    /// read under one lock, so a free block that an append opens
+    /// concurrently never passes for sealed.
+    pub(crate) fn is_sealed(&self, block: BlockId) -> bool {
+        let st = self.state.lock();
+        st.open != Some(block) && !st.free.contains(&block)
     }
 
     /// Number of recycled blocks waiting for reuse.

@@ -18,7 +18,7 @@
 //!   blocks and the round repeats. One latch + one trace event per page
 //!   visit instead of per version.
 
-use sias_common::{RelId, SiasResult, Tid, Vid, Xid};
+use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_storage::BufferPool;
 use sias_txn::{Clog, Snapshot, TxnStatus};
 
@@ -263,11 +263,40 @@ pub fn collect_reachable(
     Ok(out)
 }
 
+/// Collects every version of a chain that still exists, newest first:
+/// the reachable prefix exactly as [`collect_reachable`] walks it (any
+/// failure there is an error), then the versions below the anchor for
+/// as long as GC has left them in place. Below the anchor a predecessor
+/// is followed only while its slot reads back this chain's VID and the
+/// creator the successor recorded in `pred_create`; a slot that fails to
+/// read, or holds another version, means GC recycled the page and ends
+/// the walk. [`SiasError::CorruptPage`] is never read as recycling: it
+/// propagates, so a scrub's blast radius still finds rot below the
+/// anchor.
+pub fn collect_surviving(
+    pool: &BufferPool,
+    rel: RelId,
+    entry: Tid,
+    horizon: Xid,
+    clog: &Clog,
+) -> SiasResult<Vec<(Tid, TupleVersion)>> {
+    let mut out = collect_reachable(pool, rel, entry, horizon, clog)?;
+    while let Some((_, succ)) = out.last() {
+        let (Some(pred), vid, create) = (succ.pred, succ.vid, succ.pred_create) else { break };
+        match fetch_version(pool, rel, pred) {
+            Ok(v) if v.vid == vid && v.create == create => out.push((pred, v)),
+            Err(e @ SiasError::CorruptPage { .. }) => return Err(e),
+            _ => break, // recycled by GC
+        }
+    }
+    Ok(out)
+}
+
 /// Collects the whole chain from the entrypoint, newest first.
 ///
 /// **Unbounded**: only sound before any vacuum has reclaimed pages of
 /// this relation (tests, freshly-loaded data). Production paths use
-/// [`collect_reachable`] or [`visible_version`].
+/// [`collect_reachable`], [`collect_surviving`] or [`visible_version`].
 pub fn collect_chain(
     pool: &BufferPool,
     rel: RelId,
@@ -476,6 +505,28 @@ mod tests {
         let (resolved, stats) = visible_versions_batch(&p, REL, &[], &snap, &clog).unwrap();
         assert!(resolved.is_empty());
         assert_eq!(stats, BatchStats::default());
+    }
+
+    #[test]
+    fn collect_surviving_walks_below_the_anchor_until_a_recycled_slot() {
+        let p = pool();
+        let clog = Clog::new();
+        let (t0, t1, t2) = figure1(&p, &clog);
+        // Every creator is below the horizon: X2 is the anchor.
+        assert_eq!(collect_reachable(&p, REL, t2, Xid(10), &clog).unwrap().len(), 1);
+        let tids = |c: Vec<(Tid, TupleVersion)>| c.into_iter().map(|(t, _)| t).collect::<Vec<_>>();
+        assert_eq!(tids(collect_surviving(&p, REL, t2, Xid(10), &clog).unwrap()), vec![t2, t1, t0]);
+        // GC recycles block 0 and another item reuses its first slot.
+        p.with_page_mut(REL, 0, |pg| *pg = sias_storage::Page::new()).unwrap();
+        put(&p, 0, &TupleVersion::initial(Xid(4), Vid(1), &b"other"[..]));
+        // Above the anchor the walk stays strict: X1's slot is gone.
+        assert!(collect_surviving(&p, REL, t2, Xid(3), &clog).is_err());
+        // Below it, a missing slot ends the walk ...
+        assert_eq!(tids(collect_surviving(&p, REL, t2, Xid(10), &clog).unwrap()), vec![t2]);
+        // ... and so does a slot reused by a relocated copy of X2: same
+        // VID, but not the creator X2 recorded for its predecessor.
+        assert_eq!(put(&p, 0, &TupleVersion::initial(Xid(3), Vid(0), &b"X2"[..])), t1);
+        assert_eq!(tids(collect_surviving(&p, REL, t2, Xid(10), &clog).unwrap()), vec![t2]);
     }
 
     #[test]

@@ -23,23 +23,35 @@
 //!   erased from the VID map (their ⟨key, VID⟩ index record dropped when
 //!   the tombstone recorded the key).
 //!
-//! GC runs in two modes:
+//! One implementation serves every caller: a per-block step that
+//! classifies the items on a page, relocates the keep-chains of a victim
+//! under non-blocking tuple locks, publishes each relocation with a CAS
+//! on the lock-free VID-map entry, and parks the victim until the oldest
+//! active snapshot passes its relocation epoch
+//! ([`TransactionManager::horizon_passed`](sias_txn::TransactionManager::horizon_passed)).
+//! Readers keep walking the *old* chain throughout, and writers are never
+//! blocked: a contended item is skipped and retried later. Two callers
+//! feed blocks to that step:
 //!
+//! * [`SiasDb::vacuum_slice`] — an **incremental, concurrent** slice of a
+//!   bounded number of candidate pages from a caller-held cursor, safe
+//!   while foreground transactions keep running;
 //! * [`SiasDb::vacuum_relation`] — the paper's deterministic whole-pass
-//!   vacuum, requiring a quiescent system (no active transactions);
-//! * [`SiasDb::vacuum_slice`] — an **incremental, concurrent** slice
-//!   that examines a bounded number of candidate pages while foreground
-//!   transactions keep running. A slice takes the per-tuple write lock
-//!   (non-blocking — contended items are skipped and retried on a later
-//!   slice), relocates live versions through the ordinary append path
-//!   while readers continue down the *old* chain, publishes each
-//!   relocation with a CAS on the lock-free VID-map entry, and defers
-//!   the physical recycle of the victim page until the oldest active
-//!   snapshot passes the relocation epoch
-//!   ([`TransactionManager::horizon_passed`](sias_txn::TransactionManager::horizon_passed)).
+//!   vacuum: on a quiescent system (no active transactions), one sweep of
+//!   every block from block 0. It drains the deferred queue after each
+//!   block; with nothing active every epoch has passed, so each victim is
+//!   recycled before the next block is examined.
+//!
+//! GC never acts on what a writer still in flight has written. A chain
+//! with such a version is never relocated: the writer may commit before
+//! the tuple lock is taken, and the keep-chain, read while it was in
+//! flight, would leave its version out. A page holding such a version
+//! is left for a later sweep: the version may not be published in the
+//! VID map yet, so it would pass for dead space.
 
 use sias_obs::SpanName;
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use sias_common::{BlockId, RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_txn::TxnStatus;
@@ -49,10 +61,9 @@ use crate::engine::{SiasDb, SiasRelation};
 use crate::maintenance::DeferredPage;
 use crate::version::TupleVersion;
 
-/// Synthetic lock owner used by incremental GC slices. Tuple locks are
-/// keyed by xid; this value is far above anything the allocator hands
-/// out, so a slice can exclude writers from one item at a time without
-/// owning a transaction.
+/// Synthetic lock owner used by GC. Tuple locks are keyed by xid; this
+/// value is far above anything the allocator hands out, so GC can
+/// exclude writers from one item at a time without owning a transaction.
 const GC_SLICE_XID: Xid = Xid(u64::MAX - 1);
 
 /// Default dead-space fraction that makes a page a GC victim.
@@ -71,8 +82,8 @@ pub struct GcStats {
     pub versions_relocated: u64,
     /// Data items whose chain aged out entirely (VID map slot cleared).
     pub items_cleared: u64,
-    /// Items skipped by a concurrent slice because a writer held the
-    /// tuple lock or the entrypoint moved (retried on a later slice).
+    /// Items skipped because a writer held the tuple lock, had a version
+    /// in flight, or moved the entrypoint (retried on a later slice).
     pub items_contended: u64,
     /// Victim pages queued for horizon-gated recycling (they count as
     /// `pages_reclaimed` once the deferred recycle actually runs).
@@ -88,6 +99,8 @@ struct ItemChains {
     reach: Vec<(Tid, TupleVersion)>,
     /// Committed subset of `reach` — what relocation re-inserts.
     keep: Vec<(Tid, TupleVersion)>,
+    /// Some version of `reach` was in progress at classification.
+    in_flight: bool,
 }
 
 impl GcStats {
@@ -146,7 +159,8 @@ pub enum GcCrashPoint {
 enum Reloc {
     /// Entrypoint swung to the relocated chain.
     Published,
-    /// Writer contention (or an in-flight-only chain): left untouched.
+    /// Writer contention (or a version in flight at classification):
+    /// left untouched.
     Contended,
     /// The interrupt hook fired — abandon the slice immediately.
     Interrupted,
@@ -174,7 +188,7 @@ impl SiasDb {
         rel: RelId,
         threshold: f64,
     ) -> SiasResult<GcStats> {
-        let pause_start = std::time::Instant::now();
+        let pause_start = Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcVacuum);
         if self.txm.active_count() != 0 {
             return Err(SiasError::Device(
@@ -182,266 +196,22 @@ impl SiasDb {
             ));
         }
         let r = self.relation_handle(rel)?;
-        let horizon = self.txm.horizon();
+        let opts = GcSliceOpts { max_pages: usize::MAX, threshold, max_chain: usize::MAX };
         let mut stats = GcStats::default();
-        // Quiescence means every relocation epoch has passed: recycle
-        // pages deferred by earlier concurrent slices right away.
+        // Quiescence means every relocation epoch has passed: each drain
+        // recycles everything parked so far, earlier slices' victims
+        // first, then each block's right after its step.
         self.drain_deferred(&mut stats, &mut |_| false)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
-        for block in 0..nblocks {
-            if r.append.open_block() == Some(block) || r.append.is_free(block) {
-                continue; // never touch the open append page or reclaimed blocks
-            }
-            stats.pages_examined += 1;
-            let versions: Vec<(u16, Vec<u8>)> = self.stack.pool.with_page(rel, block, |p| {
-                p.live_slots()
-                    .map(|s| p.item(s).map(|i| (s, i.to_vec())))
-                    .collect::<SiasResult<Vec<_>>>()
-            })??;
-            if versions.is_empty() {
-                continue;
-            }
-            // Classify: compute the keep-chain of every data item present
-            // on this block (clearing fully-dead items as a side effect).
-            let mut vids = BTreeSet::new();
-            for (_, bytes) in &versions {
-                vids.insert(TupleVersion::decode(bytes)?.vid);
-            }
-            let mut items: Vec<ItemChains> = Vec::new();
-            for vid in vids {
-                if let Some(item) = self.classify_item(&r, rel, vid, horizon, &mut stats, false)? {
-                    items.push(item);
-                }
-            }
-            // A version is *reachable* when a chain walk from the
-            // entrypoint can still pass through it (anything down to the
-            // anchor, aborted interior versions included).
-            let reach_tids: BTreeSet<Tid> =
-                items.iter().flat_map(|i| i.reach.iter().map(|(t, _)| *t)).collect();
-            let live_here = versions
-                .iter()
-                .filter(|(slot, _)| reach_tids.contains(&Tid::new(block, *slot)))
-                .count();
-            let dead_here = versions.len() - live_here;
-            if live_here == 0 {
-                r.append.recycle(block);
-                stats.pages_reclaimed += 1;
-                stats.versions_discarded += dead_here as u64;
-                continue;
-            }
-            if (dead_here as f64) / (versions.len() as f64) < threshold {
-                continue; // not a victim yet
-            }
-            // Victim with reachable versions: re-insert the keep-chains of
-            // the items that still reach into this block, then recycle.
-            let mut ok = true;
-            for item in &items {
-                if item.reach.iter().all(|(t, _)| t.block != block) {
-                    continue; // this item's reachable versions live elsewhere
-                }
-                match self.relocate_chain(&r, item, &mut stats, false, &mut |_| false)? {
-                    Reloc::Published => {}
-                    Reloc::Contended | Reloc::Interrupted => ok = false,
-                }
-            }
-            if ok {
-                r.append.recycle(block);
-                stats.pages_reclaimed += 1;
-                stats.versions_discarded += dead_here as u64;
-            }
+        let horizon = self.txm.horizon();
+        for block in self.sweep_blocks(&r, &mut 0, opts.max_pages) {
+            self.gc_block(&r, block, horizon, &opts, &mut stats, &mut |_| false)?;
+            self.drain_deferred(&mut stats, &mut |_| false)?;
         }
         #[cfg(debug_assertions)]
         self.debug_validate_index(rel)?;
-        let m = &self.metrics;
-        m.gc_runs.inc();
-        m.gc_pages_examined.add(stats.pages_examined);
-        m.gc_pages_reclaimed.add(stats.pages_reclaimed);
-        m.gc_versions_discarded.add(stats.versions_discarded);
-        m.gc_versions_relocated.add(stats.versions_relocated);
-        m.gc_items_cleared.add(stats.items_cleared);
+        self.record_gc(&stats, pause_start);
         span.set_arg(stats.versions_discarded);
-        m.gc_pause.record_duration(pause_start.elapsed());
         Ok(stats)
-    }
-
-    /// Computes the reachable prefix and keep-chain of a data item. The
-    /// *reach* is every version a chain walk can still pass through
-    /// (entrypoint down to the anchor); the *keep* is its committed
-    /// subset, which relocation re-inserts (splicing out aborted interior
-    /// versions). Items that turn out fully dead (aged tombstone,
-    /// aborted-only chain) are erased here and `None` is returned.
-    ///
-    /// With `concurrent` set the erasure is guarded: the tuple lock is
-    /// taken non-blocking (skipping the item on contention), in-flight
-    /// chains are never touched, and the VID-map slot is cleared with a
-    /// CAS so a racing entrypoint move loses nothing.
-    fn classify_item(
-        &self,
-        r: &SiasRelation,
-        rel: RelId,
-        vid: Vid,
-        horizon: Xid,
-        stats: &mut GcStats,
-        concurrent: bool,
-    ) -> SiasResult<Option<ItemChains>> {
-        let Some(entry) = r.vidmap.get(vid) else {
-            return Ok(None); // already cleared: residue is orphaned/dead
-        };
-        let reach = collect_reachable(&self.stack.pool, rel, entry, horizon, &self.txm.clog)?;
-        let keep: Vec<(Tid, TupleVersion)> = reach
-            .iter()
-            .filter(|(_, v)| self.txm.clog.status(v.create) == TxnStatus::Committed)
-            .cloned()
-            .collect();
-        let in_flight =
-            reach.iter().any(|(_, v)| self.txm.clog.status(v.create) == TxnStatus::InProgress);
-        let anchored = reach
-            .last()
-            .map(|(_, v)| {
-                self.txm.clog.status(v.create) == TxnStatus::Committed && v.create < horizon
-            })
-            .unwrap_or(false);
-        // Aged tombstone: the only version any snapshot can see says
-        // "deleted" — the whole item is reclaimable. Aborted-only chains
-        // (`keep` empty, nothing in flight) never existed at all.
-        let erasable = (anchored && keep.len() == 1 && keep[0].1.tombstone && !in_flight)
-            || (keep.is_empty() && !in_flight);
-        if erasable {
-            if concurrent {
-                if !self.txm.locks.try_lock(rel, vid, GC_SLICE_XID) {
-                    stats.items_contended += 1;
-                    return Ok(None);
-                }
-                let cleared = r.vidmap.compare_and_remove(vid, entry);
-                self.txm.locks.release_all(GC_SLICE_XID);
-                if !cleared {
-                    stats.items_contended += 1;
-                    return Ok(None);
-                }
-            } else {
-                r.vidmap.remove(vid);
-            }
-            self.drop_index_records(r, vid, keep.first().map(|(_, v)| v))?;
-            stats.items_cleared += 1;
-            return Ok(None);
-        }
-        if keep.is_empty() {
-            // Only an uncommitted in-flight chain: leave it alone, but
-            // keep its versions accounted as reachable so the page is
-            // not treated as dead space.
-            stats.items_contended += 1;
-        }
-        Ok(Some(ItemChains { vid, entry, reach, keep }))
-    }
-
-    /// Drops every ⟨key, VID⟩ record of an item being erased. Tombstones
-    /// record their key in the payload (the fast path); chains without
-    /// one — `delete_item` with no key, or aborted-only inserts — fall
-    /// back to an index sweep, so clearing a VID-map slot can never
-    /// strand a dangling index record (the bug the post-GC
-    /// [`SiasDb::debug_validate_index`] check guards against).
-    fn drop_index_records(
-        &self,
-        r: &SiasRelation,
-        vid: Vid,
-        newest: Option<&TupleVersion>,
-    ) -> SiasResult<()> {
-        if let Some(v) = newest {
-            if v.tombstone && v.payload.len() == 8 {
-                let key = u64::from_le_bytes(v.payload.as_ref().try_into().unwrap());
-                let _ = r.index.remove(key, vid.0)?;
-                return Ok(());
-            }
-        }
-        for (key, val) in r.index.range(0, u64::MAX)? {
-            if val == vid.0 {
-                let _ = r.index.remove(key, val)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Re-inserts a keep-chain (oldest first), rebuilding predecessor
-    /// pointers, and swings the VID map to the relocated entrypoint.
-    ///
-    /// Concurrent mode takes the tuple lock non-blocking first, so a
-    /// writer mid-`modify_item` is never raced: contended items are
-    /// skipped and retried on a later slice. Readers keep walking the
-    /// old chain throughout — versions are immutable, and the old page
-    /// is only recycled once the relocation epoch passes the horizon.
-    fn relocate_chain(
-        &self,
-        r: &SiasRelation,
-        item: &ItemChains,
-        stats: &mut GcStats,
-        concurrent: bool,
-        interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
-    ) -> SiasResult<Reloc> {
-        let ItemChains { vid, entry, keep, .. } = item;
-        let (vid, entry) = (*vid, *entry);
-        if keep.is_empty() {
-            return Ok(Reloc::Contended); // in-flight-only chain: retry later
-        }
-        if concurrent {
-            if !self.txm.locks.try_lock(r.rel, vid, GC_SLICE_XID) {
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
-            // Re-check under the lock: a writer may have published a new
-            // entrypoint between classification and now.
-            if r.vidmap.get(vid) != Some(entry) {
-                self.txm.locks.release_all(GC_SLICE_XID);
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
-        }
-        let unlock = |db: &SiasDb| {
-            if concurrent {
-                db.txm.locks.release_all(GC_SLICE_XID);
-            }
-        };
-        let mut new_pred: Option<(Tid, Xid)> = None;
-        let mut new_entry = None;
-        for (_, v) in keep.iter().rev() {
-            let rebuilt = TupleVersion {
-                create: v.create,
-                vid,
-                pred: new_pred.map(|(t, _)| t),
-                pred_create: new_pred.map(|(_, c)| c).unwrap_or(Xid::INVALID),
-                tombstone: v.tombstone,
-                payload: v.payload.clone(),
-            };
-            let tid = match r.append.append(&rebuilt.encode()) {
-                Ok(tid) => tid,
-                Err(e) => {
-                    unlock(self);
-                    return Err(e);
-                }
-            };
-            stats.versions_relocated += 1;
-            new_pred = Some((tid, v.create));
-            new_entry = Some(tid);
-        }
-        if interrupt(GcCrashPoint::AfterRelocationAppend) {
-            unlock(self);
-            return Ok(Reloc::Interrupted);
-        }
-        let new_entry = new_entry.expect("non-empty keep chain");
-        if !r.vidmap.compare_and_set(vid, Some(entry), new_entry) {
-            unlock(self);
-            if concurrent {
-                stats.items_contended += 1;
-                return Ok(Reloc::Contended);
-            }
-            return Err(SiasError::Device(format!(
-                "vidmap entry of {vid} moved during quiescent vacuum"
-            )));
-        }
-        unlock(self);
-        if interrupt(GcCrashPoint::AfterCasPublish) {
-            return Ok(Reloc::Interrupted);
-        }
-        Ok(Reloc::Published)
     }
 
     /// Runs one incremental GC slice over `rel`: recycles deferred
@@ -480,108 +250,19 @@ impl SiasDb {
         opts: &GcSliceOpts,
         interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
     ) -> SiasResult<GcStats> {
-        let pause_start = std::time::Instant::now();
+        let pause_start = Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcSlice);
         let r = self.relation_handle(rel)?;
         let mut stats = GcStats::default();
-        let mut interrupted = !self.drain_deferred(&mut stats, interrupt)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
-        if !interrupted && nblocks > 0 {
+        if self.drain_deferred(&mut stats, interrupt)? {
             let horizon = self.txm.horizon();
-            // Blocks already awaiting their deferred recycle are invisible
-            // to the sweep: their versions are unreachable by construction
-            // and recycling them twice could free a page a later allocation
-            // is already using.
-            let parked: BTreeSet<BlockId> = {
-                let q = self.maint.deferred.lock();
-                q.iter().filter(|p| p.rel == rel).map(|p| p.block).collect()
-            };
-            let mut examined = 0usize;
-            let mut considered: BlockId = 0;
-            'sweep: while examined < opts.max_pages && considered < nblocks {
-                let block = *cursor % nblocks;
-                *cursor = (*cursor + 1) % nblocks;
-                considered += 1;
-                if r.append.open_block() == Some(block)
-                    || r.append.is_free(block)
-                    || parked.contains(&block)
-                {
-                    continue;
-                }
-                examined += 1;
-                stats.pages_examined += 1;
-                // Bounded page visit: the pin is released when the closure
-                // returns — a slice never holds a pin across a yield.
-                let versions: Vec<(u16, Vec<u8>)> =
-                    self.stack.pool.with_page(rel, block, |p| {
-                        p.live_slots()
-                            .map(|s| p.item(s).map(|i| (s, i.to_vec())))
-                            .collect::<SiasResult<Vec<_>>>()
-                    })??;
-                if versions.is_empty() {
-                    continue;
-                }
-                let mut vids = BTreeSet::new();
-                for (_, bytes) in &versions {
-                    vids.insert(TupleVersion::decode(bytes)?.vid);
-                }
-                let mut items: Vec<ItemChains> = Vec::new();
-                for vid in vids {
-                    if let Some(item) =
-                        self.classify_item(&r, rel, vid, horizon, &mut stats, true)?
-                    {
-                        items.push(item);
-                    }
-                }
-                let reach_tids: BTreeSet<Tid> =
-                    items.iter().flat_map(|i| i.reach.iter().map(|(t, _)| *t)).collect();
-                let live_here = versions
-                    .iter()
-                    .filter(|(slot, _)| reach_tids.contains(&Tid::new(block, *slot)))
-                    .count();
-                let dead_here = versions.len() - live_here;
-                if live_here > 0 && (dead_here as f64) / (versions.len() as f64) < opts.threshold {
-                    continue; // not a victim yet
-                }
-                let mut ok = true;
-                for item in &items {
-                    if item.reach.iter().all(|(t, _)| t.block != block) {
-                        continue;
-                    }
-                    if item.keep.len() > opts.max_chain {
-                        stats.items_contended += 1;
-                        ok = false;
-                        continue;
-                    }
-                    match self.relocate_chain(&r, item, &mut stats, true, interrupt)? {
-                        Reloc::Published => {}
-                        Reloc::Contended => ok = false,
-                        Reloc::Interrupted => {
-                            interrupted = true;
-                            break 'sweep;
-                        }
-                    }
-                }
-                if ok {
-                    // Every reachable version now lives elsewhere — but a
-                    // reader that resolved the old entrypoint before the
-                    // CAS may still be walking this page. Park it until
-                    // the oldest active snapshot passes the epoch.
-                    let epoch = self.txm.relocation_epoch();
-                    self.maint.deferred.lock().push(DeferredPage { rel, block, epoch });
-                    stats.pages_deferred += 1;
-                    stats.versions_discarded += dead_here as u64;
+            for block in self.sweep_blocks(&r, cursor, opts.max_pages) {
+                if !self.gc_block(&r, block, horizon, opts, &mut stats, interrupt)? {
+                    break;
                 }
             }
         }
-        let _ = interrupted;
-        let m = &self.metrics;
-        m.gc_runs.inc();
-        m.gc_pages_examined.add(stats.pages_examined);
-        m.gc_pages_reclaimed.add(stats.pages_reclaimed);
-        m.gc_versions_discarded.add(stats.versions_discarded);
-        m.gc_versions_relocated.add(stats.versions_relocated);
-        m.gc_items_cleared.add(stats.items_cleared);
+        self.record_gc(&stats, pause_start);
         let obs = &self.stack.obs;
         obs.counter("storage.gc.slices").inc();
         obs.counter("storage.gc.slice_pages").add(stats.pages_examined);
@@ -591,29 +272,287 @@ impl SiasDb {
         obs.counter("storage.gc.cas_skipped").add(stats.items_contended);
         obs.counter("storage.gc.items_cleared").add(stats.items_cleared);
         span.set_arg(stats.pages_examined);
-        m.gc_pause.record_duration(pause_start.elapsed());
         Ok(stats)
+    }
+
+    /// Books one public GC call on the `core.gc.*` metrics.
+    fn record_gc(&self, stats: &GcStats, pause_start: Instant) {
+        let m = &self.metrics;
+        m.gc_runs.inc();
+        m.gc_pages_examined.add(stats.pages_examined);
+        m.gc_pages_reclaimed.add(stats.pages_reclaimed);
+        m.gc_versions_discarded.add(stats.versions_discarded);
+        m.gc_versions_relocated.add(stats.versions_relocated);
+        m.gc_items_cleared.add(stats.items_cleared);
+        m.gc_pause.record_duration(pause_start.elapsed());
+    }
+
+    /// The GC step for one block: classifies every data item with a
+    /// version on it (clearing fully-dead items as a side effect) and,
+    /// when the block is a victim, relocates the keep-chains that still
+    /// reach into it and parks it for the horizon-gated recycle. Returns
+    /// `false` when `interrupt` abandoned the sweep.
+    fn gc_block(
+        &self,
+        r: &SiasRelation,
+        block: BlockId,
+        horizon: Xid,
+        opts: &GcSliceOpts,
+        stats: &mut GcStats,
+        interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
+    ) -> SiasResult<bool> {
+        stats.pages_examined += 1;
+        // Bounded page visit: the pin is released when the closure
+        // returns — a slice never holds a pin across a yield.
+        let versions: Vec<(u16, Vec<u8>)> = self.stack.pool.with_page(r.rel, block, |p| {
+            p.live_slots()
+                .map(|s| p.item(s).map(|i| (s, i.to_vec())))
+                .collect::<SiasResult<Vec<_>>>()
+        })??;
+        if versions.is_empty() {
+            return Ok(true);
+        }
+        let mut vids = BTreeSet::new();
+        let mut in_flight = false;
+        for (_, bytes) in &versions {
+            let v = TupleVersion::decode(bytes)?;
+            in_flight |= self.txm.clog.status(v.create) == TxnStatus::InProgress;
+            vids.insert(v.vid);
+        }
+        // A writer appends its version before it publishes it in the VID
+        // map, so a version still in flight may be reachable from no
+        // entrypoint yet and would pass for dead space. Its block waits
+        // for a later sweep. The statuses are read before any entry: a
+        // writer seen committed here had published before the walks.
+        if in_flight {
+            return Ok(true);
+        }
+        let mut items: Vec<ItemChains> = Vec::new();
+        for vid in vids {
+            if let Some(item) = self.classify_item(r, vid, horizon, stats)? {
+                items.push(item);
+            }
+        }
+        // A version is *reachable* when a chain walk from the entrypoint
+        // can still pass through it (anything down to the anchor,
+        // aborted interior versions included).
+        let reach_tids: BTreeSet<Tid> =
+            items.iter().flat_map(|i| i.reach.iter().map(|(t, _)| *t)).collect();
+        let live_here = versions
+            .iter()
+            .filter(|(slot, _)| reach_tids.contains(&Tid::new(block, *slot)))
+            .count();
+        let dead_here = versions.len() - live_here;
+        if live_here > 0 && (dead_here as f64) / (versions.len() as f64) < opts.threshold {
+            return Ok(true); // not a victim yet
+        }
+        // Victim: re-insert the keep-chains of the items that still reach
+        // into this block (pages of pure dead space have none).
+        let mut ok = true;
+        for item in items.iter().filter(|i| i.reach.iter().any(|(t, _)| t.block == block)) {
+            if item.keep.len() > opts.max_chain {
+                stats.items_contended += 1;
+                ok = false;
+                continue;
+            }
+            match self.relocate_chain(r, item, stats, interrupt)? {
+                Reloc::Published => {}
+                Reloc::Contended => ok = false,
+                Reloc::Interrupted => return Ok(false),
+            }
+        }
+        if ok {
+            // Every reachable version now lives elsewhere — but a reader
+            // that resolved the old entrypoint before the CAS may still
+            // be walking this page. Park it until the oldest active
+            // snapshot passes the epoch.
+            let epoch = self.txm.relocation_epoch();
+            self.maint.deferred.lock().push(DeferredPage { rel: r.rel, block, epoch });
+            stats.pages_deferred += 1;
+            stats.versions_discarded += dead_here as u64;
+        }
+        Ok(true)
+    }
+
+    /// Computes the reachable prefix and keep-chain of a data item. The
+    /// *reach* is every version a chain walk can still pass through
+    /// (entrypoint down to the anchor); the *keep* is its committed
+    /// subset, which relocation re-inserts (splicing out aborted interior
+    /// versions). Items that turn out fully dead (aged tombstone,
+    /// aborted-only chain) are erased here and `None` is returned.
+    ///
+    /// Each version's CLOG status is read once, so `keep` and `in_flight`
+    /// agree even when a writer commits mid-classification. The erasure
+    /// takes the tuple lock non-blocking (skipping the item on
+    /// contention) and clears the VID-map slot with a CAS, so a racing
+    /// entrypoint move loses nothing.
+    fn classify_item(
+        &self,
+        r: &SiasRelation,
+        vid: Vid,
+        horizon: Xid,
+        stats: &mut GcStats,
+    ) -> SiasResult<Option<ItemChains>> {
+        let Some(entry) = r.vidmap.get(vid) else {
+            return Ok(None); // already cleared: residue is orphaned/dead
+        };
+        let reach = collect_reachable(&self.stack.pool, r.rel, entry, horizon, &self.txm.clog)?;
+        let status: Vec<TxnStatus> =
+            reach.iter().map(|(_, v)| self.txm.clog.status(v.create)).collect();
+        let keep: Vec<(Tid, TupleVersion)> = reach
+            .iter()
+            .zip(&status)
+            .filter(|(_, s)| **s == TxnStatus::Committed)
+            .map(|(tv, _)| tv.clone())
+            .collect();
+        let in_flight = status.contains(&TxnStatus::InProgress);
+        let anchored = reach
+            .last()
+            .zip(status.last())
+            .is_some_and(|((_, v), s)| *s == TxnStatus::Committed && v.create < horizon);
+        // Aged tombstone: the only version any snapshot can see says
+        // "deleted" — the whole item is reclaimable. Aborted-only chains
+        // (`keep` empty, nothing in flight) never existed at all.
+        let erasable =
+            !in_flight && ((anchored && keep.len() == 1 && keep[0].1.tombstone) || keep.is_empty());
+        if erasable {
+            if !self.txm.locks.try_lock(r.rel, vid, GC_SLICE_XID) {
+                stats.items_contended += 1;
+                return Ok(None);
+            }
+            let cleared = r.vidmap.compare_and_remove(vid, entry);
+            self.txm.locks.release_all(GC_SLICE_XID);
+            if !cleared {
+                stats.items_contended += 1;
+                return Ok(None);
+            }
+            self.drop_index_records(r, vid, keep.first().map(|(_, v)| v))?;
+            stats.items_cleared += 1;
+            return Ok(None);
+        }
+        if keep.is_empty() {
+            // Only an uncommitted in-flight chain: leave it alone, but
+            // keep its versions accounted as reachable so the page is
+            // not treated as dead space.
+            stats.items_contended += 1;
+        }
+        Ok(Some(ItemChains { vid, entry, reach, keep, in_flight }))
+    }
+
+    /// Drops every ⟨key, VID⟩ record of an item being erased. Tombstones
+    /// record their key in the payload (the fast path); chains without
+    /// one — `delete_item` with no key, or aborted-only inserts — fall
+    /// back to an index sweep, so clearing a VID-map slot can never
+    /// strand a dangling index record (the bug the post-GC
+    /// [`SiasDb::debug_validate_index`] check guards against).
+    fn drop_index_records(
+        &self,
+        r: &SiasRelation,
+        vid: Vid,
+        newest: Option<&TupleVersion>,
+    ) -> SiasResult<()> {
+        if let Some(v) = newest {
+            if v.tombstone && v.payload.len() == 8 {
+                let key = u64::from_le_bytes(v.payload.as_ref().try_into().unwrap());
+                let _ = r.index.remove(key, vid.0)?;
+                return Ok(());
+            }
+        }
+        for (key, val) in r.index.range(0, u64::MAX)? {
+            if val == vid.0 {
+                let _ = r.index.remove(key, val)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-inserts a keep-chain (oldest first), rebuilding predecessor
+    /// pointers, and swings the VID map to the relocated entrypoint.
+    ///
+    /// A chain that had a version in flight at classification is left
+    /// alone (its writer may have committed since, and `keep` would drop
+    /// that version). Otherwise the tuple lock is taken non-blocking, so
+    /// a writer mid-`modify_item` is never raced: contended items are
+    /// skipped and retried on a later slice. Readers keep walking the
+    /// old chain throughout — versions are immutable, and the old page
+    /// is only recycled once the relocation epoch passes the horizon.
+    fn relocate_chain(
+        &self,
+        r: &SiasRelation,
+        item: &ItemChains,
+        stats: &mut GcStats,
+        interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
+    ) -> SiasResult<Reloc> {
+        if item.keep.is_empty() {
+            return Ok(Reloc::Contended); // in-flight-only chain, counted when classified
+        }
+        if item.in_flight || !self.txm.locks.try_lock(r.rel, item.vid, GC_SLICE_XID) {
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
+        }
+        let outcome = self.relocate_locked(r, item, stats, interrupt);
+        self.txm.locks.release_all(GC_SLICE_XID);
+        if matches!(outcome, Ok(Reloc::Published)) && interrupt(GcCrashPoint::AfterCasPublish) {
+            return Ok(Reloc::Interrupted);
+        }
+        outcome
+    }
+
+    /// [`SiasDb::relocate_chain`] under the tuple lock.
+    fn relocate_locked(
+        &self,
+        r: &SiasRelation,
+        item: &ItemChains,
+        stats: &mut GcStats,
+        interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
+    ) -> SiasResult<Reloc> {
+        let ItemChains { vid, entry, keep, .. } = item;
+        // Re-check under the lock: a writer may have published a new
+        // entrypoint between classification and now.
+        if r.vidmap.get(*vid) != Some(*entry) {
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
+        }
+        let mut new_pred: Option<(Tid, Xid)> = None;
+        for (_, v) in keep.iter().rev() {
+            let rebuilt = TupleVersion {
+                create: v.create,
+                vid: *vid,
+                pred: new_pred.map(|(t, _)| t),
+                pred_create: new_pred.map(|(_, c)| c).unwrap_or(Xid::INVALID),
+                tombstone: v.tombstone,
+                payload: v.payload.clone(),
+            };
+            let tid = r.append.append(&rebuilt.encode())?;
+            stats.versions_relocated += 1;
+            new_pred = Some((tid, v.create));
+        }
+        if interrupt(GcCrashPoint::AfterRelocationAppend) {
+            return Ok(Reloc::Interrupted);
+        }
+        let (new_entry, _) = new_pred.expect("non-empty keep chain");
+        if !r.vidmap.compare_and_set(*vid, Some(*entry), new_entry) {
+            stats.items_contended += 1;
+            return Ok(Reloc::Contended);
+        }
+        Ok(Reloc::Published)
     }
 
     /// Recycles every deferred victim page whose relocation epoch has
     /// passed the snapshot horizon. Returns `false` when the interrupt
     /// hook abandoned the drain (remaining pages stay parked).
-    fn drain_deferred(
+    pub(crate) fn drain_deferred(
         &self,
         stats: &mut GcStats,
         interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
     ) -> SiasResult<bool> {
+        // One horizon read for the whole queue; a page is ready once
+        // `horizon_passed(epoch)`, i.e. `epoch <= horizon`.
+        let horizon = self.txm.horizon();
         let ready: Vec<DeferredPage> = {
             let mut q = self.maint.deferred.lock();
-            let mut ready = Vec::new();
-            q.retain(|p| {
-                if self.txm.horizon_passed(p.epoch) {
-                    ready.push(*p);
-                    false
-                } else {
-                    true
-                }
-            });
+            let (ready, parked) = q.drain(..).partition(|p| p.epoch <= horizon);
+            *q = parked;
             ready
         };
         for (i, p) in ready.iter().enumerate() {
@@ -997,5 +936,75 @@ mod tests {
         assert_eq!(db.get(&t, rel, 0).unwrap().unwrap().as_ref(), &[9u8; 1500]);
         db.commit(t).unwrap();
         db.debug_validate_index(rel).unwrap();
+    }
+
+    /// A writer in flight when its chain is classified can commit before
+    /// the relocation takes the tuple lock. The keep-chain, read while
+    /// it was in flight, leaves its version out, so publishing it would
+    /// lose the committed update.
+    #[test]
+    fn chain_classified_with_a_writer_in_flight_is_not_relocated() {
+        let (db, rel) = db();
+        let t = db.begin();
+        db.insert(&t, rel, 1, &[1u8; 64]).unwrap();
+        db.commit(t).unwrap();
+        for v in 2..=3u8 {
+            let t = db.begin();
+            db.update(&t, rel, 1, &[v; 64]).unwrap();
+            db.commit(t).unwrap();
+        }
+        let writer = db.begin();
+        db.update(&writer, rel, 1, &[9u8; 64]).unwrap();
+        let r = db.relation_handle(rel).unwrap();
+        let vid = Vid(r.index.lookup(1).unwrap()[0]);
+        let mut stats = GcStats::default();
+        let item = db.classify_item(&r, vid, db.txm.horizon(), &mut stats).unwrap().unwrap();
+        db.commit(writer).unwrap();
+        let out = db.relocate_chain(&r, &item, &mut stats, &mut |_| false).unwrap();
+        assert!(matches!(out, Reloc::Contended), "relocated a chain classified in flight");
+        let t = db.begin();
+        assert_eq!(db.get(&t, rel, 1).unwrap().unwrap().as_ref(), &[9u8; 64]);
+        db.commit(t).unwrap();
+    }
+
+    /// A writer appends its version before it swings the VID map, so a
+    /// slice can read the page in between. The version is then reachable
+    /// from no entrypoint, yet must not count as dead space: its block
+    /// would be recycled under the entry the writer is about to publish.
+    #[test]
+    fn slice_never_parks_a_block_holding_an_unpublished_version() {
+        let (db, rel) = db();
+        let t = db.begin();
+        db.insert(&t, rel, 1, &[1u8; 500]).unwrap();
+        db.insert(&t, rel, 2, &[2u8; 500]).unwrap();
+        db.commit(t).unwrap();
+        let r = db.relation_handle(rel).unwrap();
+        r.append.flush_open().unwrap(); // key 1's entry stays on a sealed page
+        for v in 3..6u8 {
+            let t = db.begin();
+            db.update(&t, rel, 2, &[v; 500]).unwrap();
+            db.commit(t).unwrap();
+        }
+        // The first half of `modify_item`: lock and append, not publish.
+        let vid = Vid(r.index.lookup(1).unwrap()[0]);
+        let entry = r.vidmap.get(vid).unwrap();
+        let pred_create = crate::chain::fetch_version(&db.stack.pool, rel, entry).unwrap().create;
+        let writer = db.begin();
+        assert!(db.txm.locks.try_lock(rel, vid, writer.xid));
+        let image = TupleVersion::successor(writer.xid, vid, entry, pred_create, &[9u8; 500][..]);
+        let new_tid = r.append.append(&image.encode()).unwrap();
+        r.append.flush_open().unwrap(); // a page of dead key-2 versions
+        let mut cursor = 0;
+        let opts = GcSliceOpts { max_pages: 64, ..GcSliceOpts::default() };
+        db.vacuum_slice(rel, &mut cursor, &opts).unwrap();
+        // The second half: publish, commit, and let the horizon pass.
+        assert!(r.vidmap.compare_and_set(vid, Some(entry), new_tid));
+        db.commit(writer).unwrap();
+        for _ in 0..4 {
+            db.vacuum_slice(rel, &mut cursor, &opts).unwrap();
+        }
+        let t = db.begin();
+        assert_eq!(db.get(&t, rel, 1).unwrap().unwrap().as_ref(), &[9u8; 500]);
+        db.commit(t).unwrap();
     }
 }

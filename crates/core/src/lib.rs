@@ -19,9 +19,10 @@
 //!   thresholds (§1, §5.2);
 //! * [`engine`] — insert/update/delete/scan, first-updater-wins,
 //!   ⟨key, VID⟩ indexing, recovery (Algorithms 1–3, §4.2–4.3, §6);
-//! * [`gc`] — victim-page space reclamation (§6), both the quiescent
-//!   vacuum and horizon-based incremental slices that run concurrently
-//!   with foreground transactions;
+//! * [`gc`] — victim-page space reclamation (§6): one per-block step,
+//!   driven by horizon-based incremental slices that run concurrently
+//!   with foreground transactions and by the quiescent whole-relation
+//!   vacuum;
 //! * [`checkpoint`] — fuzzy checkpoints bounding restart work (§6),
 //!   including WAL-volume-paced triggering;
 //! * [`scrub`] — integrity sweeps and WAL-history self-repair (§6);
@@ -52,6 +53,6 @@ pub use gc::{GcCrashPoint, GcSliceOpts, GcStats, DEFAULT_VACUUM_THRESHOLD};
 pub use maintenance::{MaintCursors, MaintenanceConfig, MaintenanceScheduler, MaintenanceTotals};
 pub use recovery::RecoveryStats;
 pub use scanpool::ScanPool;
-pub use scrub::{ScrubStats, Scrubber};
+pub use scrub::ScrubStats;
 pub use version::TupleVersion;
 pub use vidmap::VidMap;

@@ -24,7 +24,7 @@
 //! lock or the deferred-queue mutex across a yield, so the scheduler
 //! can be throttled arbitrarily hard without wedging foreground work.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use sias_common::{BlockId, RelId, SiasResult, Xid};
 use sias_obs::SpanName;
 
-use crate::engine::SiasDb;
+use crate::engine::{SiasDb, SiasRelation};
 use crate::gc::{GcSliceOpts, GcStats, DEFAULT_VACUUM_THRESHOLD};
 use crate::scrub::ScrubStats;
 
@@ -75,6 +75,56 @@ impl MaintState {
             last_ckpt_lsn: AtomicU64::new(0),
             pages_per_sec,
         }
+    }
+}
+
+/// The block order of every GC and scrub sweep, slice or whole pass:
+/// up to `max` blocks from a caller-held cursor, wrapping around the
+/// relation at most once. The open append page, free blocks and blocks
+/// parked for a deferred recycle are skipped — a parked block's
+/// versions are unreachable by construction, and recycling it twice
+/// could free a page a later allocation already uses. Each block is
+/// checked as it comes up, so a sweep sees the blocks its own earlier
+/// steps opened or recycled, and one that passes stays sealed until a
+/// recycle frees it.
+pub(crate) struct BlockSweep<'a> {
+    r: &'a SiasRelation,
+    cursor: &'a mut BlockId,
+    nblocks: BlockId,
+    considered: BlockId,
+    left: usize,
+    parked: BTreeSet<BlockId>,
+}
+
+impl SiasDb {
+    /// Starts a [`BlockSweep`] of `r` over the blocks it has now.
+    pub(crate) fn sweep_blocks<'a>(
+        &self,
+        r: &'a SiasRelation,
+        cursor: &'a mut BlockId,
+        max: usize,
+    ) -> BlockSweep<'a> {
+        let parked =
+            self.maint.deferred.lock().iter().filter(|p| p.rel == r.rel).map(|p| p.block).collect();
+        let nblocks = self.stack.space.relation_blocks(r.rel);
+        BlockSweep { r, cursor, nblocks, considered: 0, left: max, parked }
+    }
+}
+
+impl Iterator for BlockSweep<'_> {
+    type Item = BlockId;
+
+    fn next(&mut self) -> Option<BlockId> {
+        while self.left > 0 && self.considered < self.nblocks {
+            let block = *self.cursor % self.nblocks;
+            *self.cursor = (block + 1) % self.nblocks;
+            self.considered += 1;
+            if self.r.append.is_sealed(block) && !self.parked.contains(&block) {
+                self.left -= 1;
+                return Some(block);
+            }
+        }
+        None
     }
 }
 

@@ -7,34 +7,37 @@
 //! bytes. This module closes the loop by *repairing* what the
 //! quarantine fences off:
 //!
-//! 1. **Sweep** — every sealed, in-use block of a relation is probed
+//! 1. **Sweep** — sealed, in-use blocks of a relation are probed
 //!    through the buffer pool; a checksum mismatch surfaces as
 //!    [`SiasError::CorruptPage`] and quarantines the block
 //!    (`storage.scrub.scanned`, `storage.scrub.corrupt`).
 //! 2. **Blast radius** — a corrupt page takes whole *chains* with it:
 //!    any data item whose version walk crosses the page is unreadable,
 //!    because `*ptr` predecessors always stay within the item's own
-//!    chain. Affected items are found by walking every entrypoint and
-//!    collecting the walks that fault.
+//!    chain. Affected items are found by walking every entrypoint with
+//!    [`collect_surviving`] — strictly down to the anchor, then below it
+//!    for as long as GC has left the versions in place — and collecting
+//!    the walks that fault.
 //! 3. **Repair** — SIAS never overwrites, so the WAL holds the full
 //!    version history of every item. Each affected chain is rebuilt by
 //!    re-appending its committed version images in log order — the
 //!    exact mechanism crash recovery uses — and the VID map is swung to
-//!    the rebuilt head. Chains re-link naturally; indexes need no
-//!    repair because ⟨key, VID⟩ entries survive (VIDs are stable).
-//! 4. **Reclaim** — the corrupt block is recycled: TRIMmed, dropped
-//!    from quarantine, and handed back to the append region as free
-//!    space (`storage.scrub.repaired`).
+//!    the rebuilt head with a CAS, under a non-blocking tuple lock.
+//!    Chains re-link naturally; indexes need no repair because
+//!    ⟨key, VID⟩ entries survive (VIDs are stable). A chain whose lock
+//!    is taken, or whose history is not in the durable log yet, stays
+//!    quarantined (`chains_contended`) for a later sweep.
+//! 4. **Reclaim** — once every affected chain is rebuilt, the corrupt
+//!    blocks are parked behind the snapshot horizon like GC victims, so
+//!    a reader still walking a pre-repair chain never sees a reused
+//!    page; the recycle then TRIMs them, drops them from quarantine and
+//!    hands them back to the append region (`storage.scrub.repaired`).
 //!
-//! The whole-relation sweep ([`SiasDb::scrub_relation`]) requires a
-//! quiescent system, like the paper's deterministic GC. The incremental
-//! [`SiasDb::scrub_slice`] probes a bounded number of blocks per call
-//! and is safe under live traffic: repairs take the per-tuple lock
-//! non-blocking (contended chains stay quarantined and are retried on a
-//! later slice), entrypoints are swung with a CAS, and corrupt blocks
-//! are recycled through the same horizon-gated deferral incremental GC
-//! uses, so a reader still walking a pre-repair chain never sees a
-//! reused page.
+//! One sweep body serves both callers. [`SiasDb::scrub_slice`] probes a
+//! bounded number of blocks per call and is safe under live traffic;
+//! [`SiasDb::scrub_relation`] requires a quiescent system, sweeps every
+//! block once from block 0, and then drains the deferred queue, so the
+//! repaired blocks are free when it returns.
 //!
 //! A note on garbage collection: vacuum relocations are not WAL-logged,
 //! so a rebuilt chain can be *longer* than the physical chain it
@@ -43,23 +46,22 @@
 //! reclaims them; correctness is unaffected.
 
 use sias_obs::SpanName;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use sias_common::{BlockId, RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_storage::WalRecord;
 
-use crate::chain::collect_chain;
+use crate::chain::collect_surviving;
 use crate::engine::{SiasDb, SiasRelation};
+use crate::gc::GcStats;
 use crate::maintenance::DeferredPage;
 use crate::version::TupleVersion;
 
-/// Synthetic lock owner for concurrent scrub repairs (distinct from the
-/// GC slice owner so the two maintenance passes cannot shadow each
-/// other's locks).
+/// Synthetic lock owner for scrub repairs (distinct from the GC owner
+/// so the two maintenance passes cannot shadow each other's locks).
 const SCRUB_SLICE_XID: Xid = Xid(u64::MAX - 2);
 
-/// Counters describing one scrub pass (or, via [`Scrubber`], the running
-/// totals of many).
+/// Counters describing one scrub pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScrubStats {
     /// Sealed in-use pages probed.
@@ -72,8 +74,8 @@ pub struct ScrubStats {
     pub chains_rebuilt: u64,
     /// Version images re-appended during chain rebuilds.
     pub versions_reappended: u64,
-    /// Chains a concurrent slice left quarantined for a later retry
-    /// (writer contention or history not yet forced to the log).
+    /// Chains left quarantined for a later retry (writer contention or
+    /// history not yet forced to the log).
     pub chains_contended: u64,
 }
 
@@ -89,52 +91,24 @@ impl ScrubStats {
     }
 }
 
-/// Long-lived scrub driver: sweeps every relation on demand and keeps
-/// running totals, the way a background media patrol would.
-#[derive(Debug, Default)]
-pub struct Scrubber {
-    totals: ScrubStats,
-    sweeps: u64,
-}
-
-impl Scrubber {
-    /// Creates a scrubber with zeroed totals.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sweeps every relation of `db` once; returns this sweep's counters
-    /// and folds them into the running totals.
-    pub fn sweep(&mut self, db: &SiasDb) -> SiasResult<ScrubStats> {
-        let pass = db.scrub_all()?;
-        self.totals.merge(&pass);
-        self.sweeps += 1;
-        Ok(pass)
-    }
-
-    /// Running totals across all sweeps.
-    pub fn totals(&self) -> ScrubStats {
-        self.totals
-    }
-
-    /// Number of completed sweeps.
-    pub fn sweeps(&self) -> u64 {
-        self.sweeps
-    }
-}
-
 impl SiasDb {
-    /// Scrubs every relation (see the module docs for the protocol).
+    /// Scrubs every relation (see the module docs for the protocol). A
+    /// pass that returns verified every page and left no chain
+    /// quarantined ([`SiasDb::scrub_relation`] errors otherwise): the
+    /// positive evidence that heals an I/O-caused Degraded or ReadOnly
+    /// stack.
     pub fn scrub_all(&self) -> SiasResult<ScrubStats> {
         let mut total = ScrubStats::default();
         for r in self.relation_handles() {
             total.merge(&self.scrub_relation(r.rel)?);
         }
+        self.stack.health.mark_scrubbed();
         Ok(total)
     }
 
     /// Scrubs one data relation: sweep, quarantine, repair, reclaim.
-    /// Errors unless the system is quiescent. Ticks
+    /// Errors unless the system is quiescent, and when a corrupt chain
+    /// has no committed history in the log to rebuild it from. Ticks
     /// `storage.scrub.{scanned,corrupt,repaired}`.
     pub fn scrub_relation(&self, rel: RelId) -> SiasResult<ScrubStats> {
         let mut span = self.metrics.tracer.span(SpanName::ScrubSweep);
@@ -144,41 +118,28 @@ impl SiasDb {
             ));
         }
         let r = self.relation_handle(rel)?;
-        let mut stats = ScrubStats::default();
-        // (1) Sweep: probe every sealed in-use block through the pool.
-        // A failing probe quarantines the block as a side effect.
-        let nblocks = self.stack.space.relation_blocks(rel);
-        let mut corrupt: Vec<BlockId> = Vec::new();
-        for block in 0..nblocks {
-            if r.append.open_block() == Some(block) || r.append.is_free(block) {
-                continue;
-            }
-            stats.pages_scanned += 1;
-            match self.stack.pool.with_page(rel, block, |_| ()) {
-                Ok(()) => {}
-                Err(SiasError::CorruptPage { .. }) => {
-                    stats.pages_corrupt += 1;
-                    corrupt.push(block);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let stats = self.scrub_sweep(&r, &mut 0, usize::MAX)?;
         span.set_arg(stats.pages_scanned);
-        self.stack.obs.counter("storage.scrub.scanned").add(stats.pages_scanned);
-        self.stack.obs.counter("storage.scrub.corrupt").add(stats.pages_corrupt);
-        if corrupt.is_empty() {
-            return Ok(stats);
+        // Nothing is active, so every parked block — the repaired ones
+        // included, and any GC victims earlier slices parked — is
+        // recycled now.
+        self.drain_deferred(&mut GcStats::default(), &mut |_| false)?;
+        if stats.chains_contended > 0 {
+            // Quiescent: no writer holds a tuple lock, so only missing
+            // history can leave a chain unrepaired.
+            return Err(SiasError::Wal(format!(
+                "scrub cannot repair {} chain(s) of {rel:?}: no committed history in the log",
+                stats.chains_contended
+            )));
         }
-        self.repair_corrupt_blocks(&r, rel, corrupt, &mut stats, false)?;
-        self.stack.obs.counter("storage.scrub.repaired").add(stats.pages_repaired);
         Ok(stats)
     }
 
     /// Probes up to `max_blocks` sealed blocks of `rel` starting at
     /// `cursor` (a caller-held sweep position, wrapped around the
     /// relation) — one bounded slice of the media patrol. Safe under
-    /// live traffic; see the module docs for the concurrent-repair
-    /// protocol. Ticks `storage.scrub.slice_*`.
+    /// live traffic; see the module docs for the repair protocol. Ticks
+    /// `storage.scrub.slice_*`.
     pub fn scrub_slice(
         &self,
         rel: RelId,
@@ -187,35 +148,27 @@ impl SiasDb {
     ) -> SiasResult<ScrubStats> {
         let mut span = self.metrics.tracer.span(SpanName::ScrubSlice);
         let r = self.relation_handle(rel)?;
+        self.stack.obs.counter("storage.scrub.slice_runs").inc();
+        let stats = self.scrub_sweep(&r, cursor, max_blocks)?;
+        span.set_arg(stats.pages_scanned);
+        self.stack.obs.counter("storage.scrub.slice_blocks").add(stats.pages_scanned);
+        Ok(stats)
+    }
+
+    /// The scrub sweep shared by slices and whole passes: probes up to
+    /// `max_blocks` blocks from `cursor` (a failing probe quarantines the
+    /// block as a side effect), then repairs what it found corrupt.
+    fn scrub_sweep(
+        &self,
+        r: &SiasRelation,
+        cursor: &mut BlockId,
+        max_blocks: usize,
+    ) -> SiasResult<ScrubStats> {
         let mut stats = ScrubStats::default();
-        let nblocks = self.stack.space.relation_blocks(rel);
-        let obs = &self.stack.obs;
-        obs.counter("storage.scrub.slice_runs").inc();
-        if nblocks == 0 {
-            return Ok(stats);
-        }
-        // Pages parked for a deferred recycle are unreachable by
-        // construction: probing them would only re-quarantine garbage.
-        let parked: BTreeSet<BlockId> = {
-            let q = self.maint.deferred.lock();
-            q.iter().filter(|p| p.rel == rel).map(|p| p.block).collect()
-        };
-        let mut probed = 0usize;
-        let mut considered: BlockId = 0;
         let mut corrupt: Vec<BlockId> = Vec::new();
-        while probed < max_blocks && considered < nblocks {
-            let block = *cursor % nblocks;
-            *cursor = (*cursor + 1) % nblocks;
-            considered += 1;
-            if r.append.open_block() == Some(block)
-                || r.append.is_free(block)
-                || parked.contains(&block)
-            {
-                continue;
-            }
-            probed += 1;
+        for block in self.sweep_blocks(r, cursor, max_blocks) {
             stats.pages_scanned += 1;
-            match self.stack.pool.with_page(rel, block, |_| ()) {
+            match self.stack.pool.with_page(r.rel, block, |_| ()) {
                 Ok(()) => {}
                 Err(SiasError::CorruptPage { .. }) => {
                     stats.pages_corrupt += 1;
@@ -224,39 +177,38 @@ impl SiasDb {
                 Err(e) => return Err(e),
             }
         }
-        span.set_arg(stats.pages_scanned);
-        obs.counter("storage.scrub.slice_blocks").add(stats.pages_scanned);
+        let obs = &self.stack.obs;
         obs.counter("storage.scrub.scanned").add(stats.pages_scanned);
         obs.counter("storage.scrub.corrupt").add(stats.pages_corrupt);
         if !corrupt.is_empty() {
-            self.repair_corrupt_blocks(&r, rel, corrupt, &mut stats, true)?;
+            self.repair_corrupt_blocks(r, corrupt, &mut stats)?;
             obs.counter("storage.scrub.repaired").add(stats.pages_repaired);
         }
         Ok(stats)
     }
 
     /// Phases 2–4 of the scrub protocol: blast radius, WAL-history chain
-    /// rebuild, block reclaim. In `concurrent` mode each rebuild takes
-    /// the tuple lock non-blocking and publishes with a CAS (contended
-    /// chains stay quarantined for a later slice), and reclaimed blocks
-    /// go through the horizon-gated deferral instead of an immediate
-    /// recycle so stale readers can never observe page reuse.
+    /// rebuild, block reclaim. Each rebuild takes the tuple lock
+    /// non-blocking and publishes with a CAS; a chain that is contended
+    /// or has no history in the durable log yet stays quarantined, and
+    /// the corrupt blocks are parked behind the snapshot horizon only
+    /// once every affected chain was rebuilt.
     fn repair_corrupt_blocks(
         &self,
         r: &SiasRelation,
-        rel: RelId,
         corrupt: Vec<BlockId>,
         stats: &mut ScrubStats,
-        concurrent: bool,
     ) -> SiasResult<()> {
+        let rel = r.rel;
         // (2) Blast radius: an item is affected iff its chain walk
         // faults (pred pointers never leave the chain, so a clean walk
         // proves the item never touches a corrupt page).
+        let horizon = self.txm.horizon();
         let mut entries: Vec<(Vid, Tid)> = Vec::new();
         r.vidmap.for_each(|vid, tid| entries.push((vid, tid)));
         let mut affected: Vec<(Vid, Tid)> = Vec::new();
         for (vid, entry) in entries {
-            match collect_chain(&self.stack.pool, rel, entry) {
+            match collect_surviving(&self.stack.pool, rel, entry, horizon, &self.txm.clog) {
                 Ok(_) => {}
                 Err(SiasError::CorruptPage { .. }) => affected.push((vid, entry)),
                 Err(e) => return Err(e),
@@ -296,24 +248,17 @@ impl SiasDb {
         }
         let mut all_repaired = true;
         for (vid, entry) in &affected {
-            let Some(versions) = history.get(vid) else {
-                if concurrent {
-                    // History may still be buffered behind an in-flight
-                    // group commit; the chain stays quarantined and a
-                    // later slice retries.
+            // A chain whose history is still buffered behind an in-flight
+            // group commit, or whose tuple lock a writer holds, stays
+            // quarantined; a later sweep retries.
+            let versions = match history.get(vid) {
+                Some(versions) if self.txm.locks.try_lock(rel, *vid, SCRUB_SLICE_XID) => versions,
+                _ => {
                     stats.chains_contended += 1;
                     all_repaired = false;
                     continue;
                 }
-                return Err(SiasError::Wal(format!(
-                    "scrub cannot repair {vid:?}: no committed history in the log"
-                )));
             };
-            if concurrent && !self.txm.locks.try_lock(rel, *vid, SCRUB_SLICE_XID) {
-                stats.chains_contended += 1;
-                all_repaired = false;
-                continue;
-            }
             let mut prev: Option<Tid> = None;
             let mut prev_create = Xid::INVALID;
             let mut append_err = None;
@@ -338,46 +283,28 @@ impl SiasDb {
                     }
                 }
             }
-            if concurrent {
-                let swung =
-                    prev.is_some_and(|head| r.vidmap.compare_and_set(*vid, Some(*entry), head));
-                self.txm.locks.release_all(SCRUB_SLICE_XID);
-                if let Some(e) = append_err {
-                    return Err(e);
-                }
-                if swung {
-                    stats.chains_rebuilt += 1;
-                } else {
-                    stats.chains_contended += 1;
-                    all_repaired = false;
-                }
+            let swung = prev.is_some_and(|head| r.vidmap.compare_and_set(*vid, Some(*entry), head));
+            self.txm.locks.release_all(SCRUB_SLICE_XID);
+            if let Some(e) = append_err {
+                return Err(e);
+            }
+            if swung {
+                stats.chains_rebuilt += 1;
             } else {
-                if let Some(e) = append_err {
-                    return Err(e);
-                }
-                if let Some(head) = prev {
-                    r.vidmap.set(*vid, head);
-                    stats.chains_rebuilt += 1;
-                }
+                stats.chains_contended += 1;
+                all_repaired = false;
             }
         }
-        // (4) Reclaim: TRIM the corrupt blocks, drop their quarantine
-        // state, and hand them back to the append region. A concurrent
-        // slice defers the recycle behind the snapshot horizon — and
-        // only once every affected chain really was rebuilt; otherwise
-        // the blocks stay quarantined for the retrying slice.
-        if concurrent {
-            if all_repaired {
-                let epoch = self.txm.relocation_epoch();
-                let mut q = self.maint.deferred.lock();
-                for block in corrupt {
-                    q.push(DeferredPage { rel, block, epoch });
-                    stats.pages_repaired += 1;
-                }
-            }
-        } else {
+        // (4) Reclaim — only once every affected chain really was
+        // rebuilt; otherwise the blocks stay quarantined for the retrying
+        // sweep. The recycle waits behind the snapshot horizon, then
+        // TRIMs each block, drops its quarantine state and hands it back
+        // to the append region.
+        if all_repaired {
+            let epoch = self.txm.relocation_epoch();
+            let mut q = self.maint.deferred.lock();
             for block in corrupt {
-                r.append.recycle(block);
+                q.push(DeferredPage { rel, block, epoch });
                 stats.pages_repaired += 1;
             }
         }
@@ -528,19 +455,53 @@ mod tests {
         assert!(db.scrub_relation(rel).is_ok());
     }
 
+    /// Vacuum recycles pages that hold only superseded first versions,
+    /// leaving every chain's oldest `*ptr` aimed at a free or reused
+    /// block. The blast-radius walk must stop there instead of failing
+    /// on the stale slot, and still find the chains the rot broke.
     #[test]
-    fn scrubber_accumulates_totals_across_sweeps() {
+    fn rot_after_vacuum_is_repaired() {
+        let db = SiasDb::open(StorageConfig::in_memory());
+        let rel = db.create_relation("t");
+        let t = db.begin();
+        for k in 0..60u64 {
+            db.insert(&t, rel, k, &[0u8; 400]).unwrap();
+        }
+        db.commit(t).unwrap();
+        let update = |keys: std::ops::Range<u64>, byte: u8| {
+            let t = db.begin();
+            for k in keys {
+                db.update(&t, rel, k, &[byte; 400]).unwrap();
+            }
+            db.commit(t).unwrap();
+        };
+        update(0..60, 1);
+        assert!(db.vacuum_all().unwrap().pages_reclaimed > 0);
+        update(0..10, 2);
+        db.checkpoint().unwrap();
+        let before = visible(&db, rel);
+        let block = sealed_block(&db, rel);
+        rot_block(&db, rel, block);
+        let stats = db.scrub_relation(rel).unwrap();
+        assert_eq!((stats.pages_corrupt, stats.pages_repaired), (1, 1), "{stats:?}");
+        assert!(stats.chains_rebuilt > 0, "{stats:?}");
+        assert!(db.relation_handle(rel).unwrap().append.is_free(block));
+        assert!(!db.stack().pool.is_quarantined(rel, block));
+        assert_eq!(before, visible(&db, rel));
+    }
+
+    #[test]
+    fn clean_scrub_heals_io_readonly() {
+        use sias_storage::HealthState;
         let (db, rel) = workload();
-        let mut scrubber = Scrubber::new();
-        let clean = scrubber.sweep(&db).unwrap();
-        assert_eq!(clean.pages_corrupt, 0);
-        rot_block(&db, rel, sealed_block(&db, rel));
-        let dirty = scrubber.sweep(&db).unwrap();
-        assert_eq!(dirty.pages_corrupt, 1);
-        assert_eq!(scrubber.sweeps(), 2);
-        let totals = scrubber.totals();
-        assert_eq!(totals.pages_corrupt, 1);
-        assert_eq!(totals.pages_repaired, 1);
-        assert_eq!(totals.pages_scanned, clean.pages_scanned + dirty.pages_scanned);
+        for _ in 0..8 {
+            db.stack().health.record_io_error();
+        }
+        assert_eq!(db.stack().health.state(), HealthState::ReadOnly);
+        db.scrub_all().unwrap();
+        assert_eq!(db.stack().health.state(), HealthState::Healthy);
+        let t = db.begin();
+        db.update(&t, rel, 0, b"after scrub").unwrap();
+        db.commit(t).unwrap();
     }
 }

@@ -385,6 +385,11 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosRun {
 /// stream per key, keeping only acknowledged-committed writers. Shared
 /// with the threaded driver, whose stress test needs the engine's own
 /// opinion of each key's committed order for the G0 check.
+///
+/// The walk is [`collect_surviving`](sias_core::chain::collect_surviving):
+/// strict down to each chain's anchor, then every older version GC has
+/// not recycled yet, so a vacuumed database still yields the whole
+/// order that exists on its pages.
 pub(crate) fn extract_version_order(
     db: &SiasDb,
     rel_name: &str,
@@ -395,9 +400,11 @@ pub(crate) fn extract_version_order(
     let handle = db.relation_handle(rel).expect("chaos relation handle");
     let mut entries = Vec::new();
     handle.vidmap.for_each(|_, tid| entries.push(tid));
+    let (horizon, clog) = (db.txm().horizon(), &db.txm().clog);
     for entry in entries {
-        let chain = sias_core::chain::collect_chain(&db.stack().pool, rel, entry)
-            .expect("recovered chain is intact");
+        let chain =
+            sias_core::chain::collect_surviving(&db.stack().pool, rel, entry, horizon, clog)
+                .expect("recovered chain is intact");
         let mut key = None;
         let mut tags = Vec::new();
         for (_, v) in chain.iter().rev() {
@@ -724,8 +731,7 @@ pub fn scrub_scenario(cfg: &ChaosConfig, rot_pages: usize) -> ScrubReport {
     // Self-repair. Any single-bit flip is detectable: the CRC covers
     // every page byte outside its own field, and a flip inside the field
     // breaks the stored value instead.
-    let mut scrubber = sias_core::Scrubber::new();
-    let pass = scrubber.sweep(&db).expect("scrub sweep");
+    let pass = db.scrub_all().expect("scrub sweep");
 
     // Post-scrub probe: every key read back in one committed transaction
     // appended to the history, so the anomaly checker sees the repaired
