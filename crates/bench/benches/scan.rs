@@ -40,7 +40,7 @@ fn bench_scans(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("vidmap", updates), &(), |b, _| {
             b.iter(|| {
                 let t = db.begin();
-                let r = black_box(db.scan_vidmap(&t, rel).unwrap());
+                let r = black_box(db.scan(&t, rel, 1).unwrap());
                 db.commit(t).unwrap();
                 r.len()
             });

@@ -4,10 +4,14 @@
 //! Sweeps chain depth × scan threads on a SIAS relation whose reader
 //! holds a snapshot **older than every update**, so each scan walks the
 //! full chain of every item — the paper's worst-case selective-read
-//! pattern (§4.2.1). Every cell asserts the batched scan is
-//! byte-identical to the scalar scan (the CI smoke job relies on the
-//! process exiting non-zero on disagreement), then reports wall-clock
-//! and the pin/fetch accounting from `core.engine.scan_*` counters.
+//! pattern (§4.2.1). The batched side is the engine's VID-map scan,
+//! `SiasDb::scan`; the scalar side is the ablation baseline
+//! [`scan_scalar`], the same partitions on the same threads walked one
+//! chain at a time. Every cell asserts both, at 1 thread and at the
+//! cell's thread count, are byte-identical to the serial scalar walk
+//! (the CI smoke job relies on the process exiting non-zero on
+//! disagreement), then reports wall-clock and the pin/fetch accounting
+//! from `core.engine.scan_*` counters.
 //!
 //! A second micro-section hammers `Clog::status` from many threads and
 //! compares against a `RwLock<Vec<u8>>` CLOG equivalent to the
@@ -28,13 +32,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bytes::Bytes;
 use parking_lot::RwLock;
 use sias_bench::{arg_value, io_depth_arg, write_results, Backend, ObsArgs};
-use sias_common::Xid;
+use sias_common::{RelId, Tid, Vid, Xid};
+use sias_core::chain::visible_version;
 use sias_core::SiasDb;
 use sias_obs::SamplerHandle;
 use sias_storage::StorageConfig;
-use sias_txn::{Clog, MvccEngine, TxnStatus};
+use sias_txn::{Clog, MvccEngine, Txn, TxnStatus};
 
 /// One (depth, threads) sweep cell.
 struct Cell {
@@ -88,11 +94,7 @@ impl LockedClog {
 /// versions deep, plus a reader snapshot that predates every update (so
 /// its scans walk each chain to the bottom). Returns the db, relation,
 /// and the reader transaction.
-fn build_history(
-    storage_cfg: &StorageConfig,
-    items: usize,
-    depth: u64,
-) -> (SiasDb, sias_common::RelId, sias_txn::Txn) {
+fn build_history(storage_cfg: &StorageConfig, items: usize, depth: u64) -> (SiasDb, RelId, Txn) {
     let db = SiasDb::open(storage_cfg.clone());
     let rel = db.create_relation("readpath");
     let t = db.begin();
@@ -108,6 +110,37 @@ fn build_history(
         db.commit(t).unwrap();
     }
     (db, rel, reader)
+}
+
+/// The scalar-traversal ablation of [`SiasDb::scan`]: the same
+/// contiguous partitions and the same thread placement (one partition
+/// on the caller's thread, otherwise one per shared scan worker), but
+/// each item's chain is walked on its own with the scalar walker, one
+/// pin per version. It records no engine metrics.
+fn scan_scalar(db: &SiasDb, reader: &Txn, rel: RelId, threads: usize) -> Vec<(Vid, Bytes)> {
+    let mut entries: Vec<(Vid, Tid)> = Vec::new();
+    db.relation_handle(rel).expect("relation").vidmap.for_each(|vid, tid| entries.push((vid, tid)));
+    let len = entries.len();
+    let threads = threads.clamp(1, len.max(1));
+    let chunk = len.div_ceil(threads).max(1);
+    let entries = Arc::new(entries);
+    let pool = Arc::clone(&db.stack().pool);
+    let txm = Arc::clone(db.txm());
+    let snapshot = reader.snapshot.clone();
+    let walk = move |lo: usize| -> Vec<(Vid, Bytes)> {
+        let part = &entries[lo..(lo + chunk).min(len)];
+        part.iter()
+            .filter_map(|&(vid, entry)| {
+                let (found, _) =
+                    visible_version(&pool, rel, entry, &snapshot, &txm.clog).expect("scalar walk");
+                found.filter(|(_, v)| !v.tombstone).map(|(_, v)| (vid, v.payload))
+            })
+            .collect()
+    };
+    if threads == 1 {
+        return walk(0);
+    }
+    db.scan_pool().run((0..len).step_by(chunk).collect(), walk).into_iter().flatten().collect()
 }
 
 /// Best-of-`reps` wall time of `f`, in nanoseconds.
@@ -131,28 +164,28 @@ fn run_cell(
     reps: usize,
 ) -> Cell {
     let (db, rel, reader) = build_history(storage_cfg, items, depth);
-    // Correctness gate: all four scan paths must agree byte-for-byte.
-    let serial = db.scan_vidmap(&reader, rel).expect("serial scan");
+    // Correctness gate: the batched scan on 1 and on `threads` threads
+    // and the scalar ablation must agree byte-for-byte with the serial
+    // scalar walk.
+    let serial = scan_scalar(&db, &reader, rel, 1);
     assert_eq!(serial.len(), items, "old reader must see every item");
     for (scan, label) in [
-        (db.scan_vidmap_batched(&reader, rel).expect("batched"), "batched"),
-        (db.scan_vidmap_parallel(&reader, rel, threads).expect("parallel"), "parallel"),
-        (db.scan_vidmap_parallel_scalar(&reader, rel, threads).expect("scalar"), "parallel-scalar"),
+        (db.scan(&reader, rel, 1).expect("batched"), "batched"),
+        (db.scan(&reader, rel, threads).expect("parallel"), "parallel"),
+        (scan_scalar(&db, &reader, rel, threads), "parallel-scalar"),
     ] {
         assert_eq!(scan, serial, "{label} scan diverged from scalar at depth {depth}");
     }
 
-    let (scalar_ns, _) =
-        best_of(reps, || db.scan_vidmap_parallel_scalar(&reader, rel, threads).expect("scalar"));
+    let (scalar_ns, _) = best_of(reps, || scan_scalar(&db, &reader, rel, threads));
     // Count one batched scan's pins/fetches before timing it.
     let before = db.metrics_snapshot();
-    db.scan_vidmap_parallel(&reader, rel, threads).expect("batched");
+    db.scan(&reader, rel, threads).expect("batched");
     let after = db.metrics_snapshot();
     let counter = |name: &str| after.counter(name).expect(name) - before.counter(name).expect(name);
     let page_visits = counter("core.engine.scan_page_visits");
     let versions_fetched = counter("core.engine.scan_versions_fetched");
-    let (batched_ns, _) =
-        best_of(reps, || db.scan_vidmap_parallel(&reader, rel, threads).expect("batched"));
+    let (batched_ns, _) = best_of(reps, || db.scan(&reader, rel, threads).expect("batched"));
     let memo = reader.snapshot.memo();
     let cell = Cell {
         depth,
@@ -335,7 +368,7 @@ fn main() {
         let sampler = obs_args.series_requested().then(|| {
             SamplerHandle::spawn(Arc::clone(&registry), std::time::Duration::from_millis(20))
         });
-        db.scan_vidmap_parallel(&reader, rel, max_threads).expect("metrics scan");
+        db.scan(&reader, rel, max_threads).expect("metrics scan");
         db.commit(reader).unwrap();
         if let Some(series) = sampler.map(|s| s.stop()) {
             if let Some(p) = obs_args.dump_series(&series) {

@@ -5,7 +5,7 @@
 //! keeps response times orders of magnitude lower; SI throughput
 //! *decreases* with warehouse count and its response time explodes
 //! (11.7 s at 30 WH to 123 s at 100 WH). "The system stays responsive
-//! below 30 WHs [SI]; SIAS provides a responsive system with up to 75
+//! below 30 WHs \[SI\]; SIAS provides a responsive system with up to 75
 //! WHs."
 //!
 //! ```text

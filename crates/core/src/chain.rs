@@ -31,25 +31,14 @@ pub fn fetch_version(pool: &BufferPool, rel: RelId, tid: Tid) -> SiasResult<Tupl
 }
 
 /// Walks the chain from `entry` and returns the first version visible to
-/// the snapshot, with its TID (Algorithm 1). Returns `Ok(None)` when no
-/// version in the chain is visible. Tombstones are returned like any
-/// other version — interpreting them is the caller's business (a visible
-/// tombstone means "the item is deleted in your snapshot").
-pub fn visible_version(
-    pool: &BufferPool,
-    rel: RelId,
-    entry: Tid,
-    snapshot: &Snapshot,
-    clog: &Clog,
-) -> SiasResult<Option<(Tid, TupleVersion)>> {
-    visible_version_depth(pool, rel, entry, snapshot, clog).map(|(v, _)| v)
-}
-
-/// Like [`visible_version`], but also returns the number of versions
+/// the snapshot, with its TID (Algorithm 1), plus the number of versions
 /// fetched during the walk (≥ 1) — the chain-traversal cost the paper's
 /// `C_R` accounting charges and the `core.engine.chain_depth` histogram
-/// records.
-pub fn visible_version_depth(
+/// records. The version is `None` when no version in the chain is
+/// visible. Tombstones are returned like any other version —
+/// interpreting them is the caller's business (a visible tombstone means
+/// "the item is deleted in your snapshot").
+pub fn visible_version(
     pool: &BufferPool,
     rel: RelId,
     entry: Tid,
@@ -144,23 +133,12 @@ pub struct ResolvedCursor {
 ///
 /// Versions are decoded straight from the borrowed page slice, skipping
 /// the per-version copy the scalar path's [`fetch_version`] pays.
+///
+/// Between rounds (the natural cancellation points — each round is one
+/// bounded sweep of pinned pages) an expired `deadline` aborts the walk
+/// with a typed [`SiasError::DeadlineExceeded`] for the snapshot's
+/// transaction. No partial results leak: the caller sees only the error.
 pub fn visible_versions_batch(
-    pool: &BufferPool,
-    rel: RelId,
-    entries: &[(Vid, Tid)],
-    snapshot: &Snapshot,
-    clog: &Clog,
-) -> SiasResult<(Vec<ResolvedCursor>, BatchStats)> {
-    visible_versions_batch_deadline(pool, rel, entries, snapshot, clog, None)
-}
-
-/// Deadline-honoring batched traversal: identical to
-/// [`visible_versions_batch`], but between rounds (the natural
-/// cancellation points — each round is one bounded sweep of pinned
-/// pages) an expired `deadline` aborts the scan with a typed
-/// [`SiasError::DeadlineExceeded`] for the snapshot's transaction. No
-/// partial results leak: the caller sees only the error.
-pub fn visible_versions_batch_deadline(
     pool: &BufferPool,
     rel: RelId,
     entries: &[(Vid, Tid)],
@@ -179,7 +157,7 @@ pub fn visible_versions_batch_deadline(
     while !pending.is_empty() {
         if let Some(d) = deadline {
             if std::time::Instant::now() >= d {
-                return Err(sias_common::SiasError::DeadlineExceeded { xid: snapshot.xid });
+                return Err(SiasError::DeadlineExceeded { xid: snapshot.xid });
             }
         }
         pending.sort_unstable_by_key(|&(_, tid)| tid.block);
@@ -368,7 +346,7 @@ mod tests {
         let (_t0, _t1, t2) = figure1(&p, &clog);
         // A transaction starting after T3: sees X2 at the entrypoint.
         let snap = Snapshot::new(Xid(10), vec![]);
-        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().unwrap();
+        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().0.unwrap();
         assert_eq!(tid, t2);
         assert_eq!(v.payload.as_ref(), b"X2");
     }
@@ -383,12 +361,12 @@ mod tests {
         let (t0, t1, t2) = figure1(&p, &clog);
         // Snapshot concurrent with T3: sees X1.
         let snap = Snapshot::new(Xid(4), vec![Xid(3)]);
-        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().unwrap();
+        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().0.unwrap();
         assert_eq!(tid, t1);
         assert_eq!(v.payload.as_ref(), b"X1");
         // Snapshot concurrent with T2 and T3: sees X0.
         let snap = Snapshot::new(Xid(4), vec![Xid(2), Xid(3)]);
-        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().unwrap();
+        let (tid, v) = visible_version(&p, REL, t2, &snap, &clog).unwrap().0.unwrap();
         assert_eq!(tid, t0);
         assert_eq!(v.payload.as_ref(), b"X0");
     }
@@ -400,7 +378,7 @@ mod tests {
         let (_t0, _t1, t2) = figure1(&p, &clog);
         // Snapshot older than every version.
         let snap = Snapshot::new(Xid(4), vec![Xid(1), Xid(2), Xid(3)]);
-        assert!(visible_version(&p, REL, t2, &snap, &clog).unwrap().is_none());
+        assert!(visible_version(&p, REL, t2, &snap, &clog).unwrap().0.is_none());
     }
 
     #[test]
@@ -414,7 +392,7 @@ mod tests {
         clog.commit(Xid(1));
         clog.abort(Xid(2));
         let snap = Snapshot::new(Xid(5), vec![]);
-        let (tid, v) = visible_version(&p, REL, t1, &snap, &clog).unwrap().unwrap();
+        let (tid, v) = visible_version(&p, REL, t1, &snap, &clog).unwrap().0.unwrap();
         assert_eq!(tid, t0);
         assert_eq!(v.payload.as_ref(), b"good");
     }
@@ -431,8 +409,8 @@ mod tests {
             let snap = Snapshot::new(Xid(4), concurrent);
             let entries = vec![(Vid(0), t2)];
             let (resolved, stats) =
-                visible_versions_batch(&p, REL, &entries, &snap, &clog).unwrap();
-            let (scalar, depth) = visible_version_depth(&p, REL, t2, &snap, &clog).unwrap();
+                visible_versions_batch(&p, REL, &entries, &snap, &clog, None).unwrap();
+            let (scalar, depth) = visible_version(&p, REL, t2, &snap, &clog).unwrap();
             assert_eq!(resolved.len(), 1);
             assert_eq!(resolved[0].vid, Vid(0));
             assert_eq!(resolved[0].visible, scalar);
@@ -451,7 +429,7 @@ mod tests {
         let (_t0, t1, _t2) = figure1(&p, &clog);
         let snap = Snapshot::new(Xid(4), vec![Xid(2), Xid(3)]); // sees only X0
         let (resolved, stats) =
-            visible_versions_batch(&p, REL, &[(Vid(0), t1)], &snap, &clog).unwrap();
+            visible_versions_batch(&p, REL, &[(Vid(0), t1)], &snap, &clog, None).unwrap();
         assert_eq!(resolved[0].visible.as_ref().unwrap().1.payload.as_ref(), b"X0");
         assert_eq!(resolved[0].depth, 2);
         assert_eq!(stats.versions_fetched, 2);
@@ -468,7 +446,8 @@ mod tests {
         clog.commit(Xid(1));
         let snap = Snapshot::new(Xid(2), vec![]);
         let (resolved, stats) =
-            visible_versions_batch(&p, REL, &[(Vid(0), a), (Vid(1), b)], &snap, &clog).unwrap();
+            visible_versions_batch(&p, REL, &[(Vid(0), a), (Vid(1), b)], &snap, &clog, None)
+                .unwrap();
         assert_eq!(resolved[0].visible.as_ref().unwrap().1.payload.as_ref(), b"a");
         assert_eq!(resolved[1].visible.as_ref().unwrap().1.payload.as_ref(), b"b");
         assert_eq!(stats.versions_fetched, 2);
@@ -487,7 +466,7 @@ mod tests {
         clog.commit(Xid(1));
         let snap = Snapshot::new(Xid(2), vec![]);
         let entries = vec![(Vid(7), a), (Vid(8), b), (Vid(9), c)];
-        let (resolved, _) = visible_versions_batch(&p, REL, &entries, &snap, &clog).unwrap();
+        let (resolved, _) = visible_versions_batch(&p, REL, &entries, &snap, &clog, None).unwrap();
         let payloads: Vec<&[u8]> =
             resolved.iter().map(|r| r.visible.as_ref().unwrap().1.payload.as_ref()).collect();
         assert_eq!(payloads, vec![&b"blk2"[..], b"blk0", b"blk1"]);
@@ -502,7 +481,7 @@ mod tests {
         let p = pool();
         let clog = Clog::new();
         let snap = Snapshot::new(Xid(1), vec![]);
-        let (resolved, stats) = visible_versions_batch(&p, REL, &[], &snap, &clog).unwrap();
+        let (resolved, stats) = visible_versions_batch(&p, REL, &[], &snap, &clog, None).unwrap();
         assert!(resolved.is_empty());
         assert_eq!(stats, BatchStats::default());
     }

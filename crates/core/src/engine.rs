@@ -8,8 +8,8 @@
 //! The engine exposes two API layers:
 //!
 //! * **data-item level** (the paper's model): [`SiasDb::insert_item`],
-//!   [`SiasDb::update_item`], [`SiasDb::read_item`],
-//!   [`SiasDb::scan_vidmap`] … addressing rows by [`Vid`];
+//!   [`SiasDb::update_item`], [`SiasDb::read_item`], [`SiasDb::scan`] …
+//!   addressing rows by [`Vid`];
 //! * **key level** (the [`MvccEngine`] trait shared with the SI
 //!   baseline): rows addressed by a unique `u64` key through the
 //!   relation's B+-tree.
@@ -25,13 +25,11 @@ use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_index::BPlusTree;
 use sias_obs::{time, MetricsSnapshot, Registry, SpanName};
 use sias_storage::{BufferPool, StorageConfig, StorageStack, WalRecord};
-use sias_txn::{Clog, EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn};
+use sias_txn::{Clog, EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn, TxnStatus};
 
 use crate::admission::{AdmissionGate, PressureSignals};
 use crate::append::{AppendRegion, FlushPolicy};
-use crate::chain::{
-    fetch_version, skipped_newer_writers, visible_version_depth, visible_versions_batch_deadline,
-};
+use crate::chain::{fetch_version, skipped_newer_writers, visible_version, visible_versions_batch};
 use crate::maintenance::MaintState;
 use crate::scanpool::ScanPool;
 use crate::version::TupleVersion;
@@ -258,7 +256,7 @@ impl SiasDb {
         // Algorithm 3 line 4: quick pre-lock validation against the
         // current entrypoint.
         let entry_tid = r.vidmap.get(vid).ok_or(SiasError::UnknownVid(vid))?;
-        let head = self.effective_head(&r, rel, txn, entry_tid)?;
+        let head = self.effective_head(rel, entry_tid)?;
         if !txn.snapshot.sees(head.1.create, &self.txm.clog) {
             self.metrics.write_conflicts.inc();
             return Err(SiasError::WriteConflict { vid, winner: head.1.create });
@@ -269,7 +267,7 @@ impl SiasDb {
         // Re-validate under the lock: the previous holder may have
         // committed a newer version while we waited (first-updater-wins).
         let entry_tid = r.vidmap.get(vid).ok_or(SiasError::UnknownVid(vid))?;
-        let (_, head) = self.effective_head(&r, rel, txn, entry_tid)?;
+        let (_, head) = self.effective_head(rel, entry_tid)?;
         if !txn.snapshot.sees(head.create, &self.txm.clog) {
             self.metrics.write_conflicts.inc();
             return Err(SiasError::WriteConflict { vid, winner: head.create });
@@ -319,18 +317,11 @@ impl SiasDb {
     /// Finds the *effective head* of a chain: the newest version whose
     /// transaction is not aborted (aborted heads are physically present
     /// but semantically transparent).
-    fn effective_head(
-        &self,
-        r: &SiasRelation,
-        rel: RelId,
-        _txn: &Txn,
-        entry: Tid,
-    ) -> SiasResult<(Tid, TupleVersion)> {
-        let _ = r;
+    fn effective_head(&self, rel: RelId, entry: Tid) -> SiasResult<(Tid, TupleVersion)> {
         let mut tid = entry;
         loop {
             let v = fetch_version(&self.stack.pool, rel, tid)?;
-            let aborted = matches!(self.txm.clog.status(v.create), sias_txn::TxnStatus::Aborted);
+            let aborted = matches!(self.txm.clog.status(v.create), TxnStatus::Aborted);
             if !aborted {
                 return Ok((tid, v));
             }
@@ -352,20 +343,12 @@ impl SiasDb {
         let r = self.relation_handle(rel)?;
         let Some(entry) = r.vidmap.get(vid) else { return Ok(None) };
         let (found, depth) =
-            visible_version_depth(&self.stack.pool, rel, entry, &txn.snapshot, &self.txm.clog)?;
+            visible_version(&self.stack.pool, rel, entry, &txn.snapshot, &self.txm.clog)?;
         self.metrics.chain_depth.record(depth);
         match found {
             Some((_, v)) if !v.tombstone => Ok(Some(v.payload)),
             _ => Ok(None),
         }
-    }
-
-    /// Snapshots the VID map into an entry list, preallocated from the
-    /// map's VID bound (scan setup should not reallocate mid-walk).
-    fn vidmap_entries(r: &SiasRelation) -> Vec<(Vid, Tid)> {
-        let mut entries: Vec<(Vid, Tid)> = Vec::with_capacity(r.vidmap.vid_bound() as usize);
-        r.vidmap.for_each(|vid, tid| entries.push((vid, tid)));
-        entries
     }
 
     /// Splits `v` into `parts` contiguous pieces by moving tails out with
@@ -382,129 +365,44 @@ impl SiasDb {
     }
 
     /// Scan over the VID map (Algorithm 1): for each data item, walk its
-    /// chain from the entrypoint and return the first visible version.
-    /// This is the Flash-friendly access path — selective random reads
-    /// instead of reading every tuple version in the relation.
-    pub fn scan_vidmap(&self, txn: &Txn, rel: RelId) -> SiasResult<Vec<(Vid, Bytes)>> {
+    /// chain from the entrypoint and return the first visible version,
+    /// in VID order, skipping tombstones. This is the Flash-friendly
+    /// access path — selective random reads instead of reading every
+    /// tuple version in the relation — and, as §4.2.1 notes, it "is
+    /// parallelizable and therefore complements the parallelism of the
+    /// Flash storage".
+    ///
+    /// The map's entries are snapshotted and `threads` is clamped to
+    /// `[1, entries]`. One thread resolves every chain on the caller's
+    /// thread; more split the entries into contiguous partitions (moved
+    /// by `split_off`, not cloned) run on the engine's shared
+    /// [`ScanPool`]. Either way each partition goes through
+    /// `resolve_visible`: all its chains are walked together with the
+    /// batched page-grouped traversal, one pin per page per round, with
+    /// the deadline checked between rounds. Versions are immutable and
+    /// the map is latch-free, so workers need no coordination, and they
+    /// share the snapshot's visibility memo.
+    pub fn scan(&self, txn: &Txn, rel: RelId, threads: usize) -> SiasResult<Vec<(Vid, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanAll).txn(txn.xid.0);
         let r = self.relation_handle(rel)?;
-        let entries = Self::vidmap_entries(&r);
-        let mut out = Vec::new();
-        for (vid, entry) in entries {
-            txn.check_deadline()?;
-            let (found, depth) =
-                visible_version_depth(&self.stack.pool, rel, entry, &txn.snapshot, &self.txm.clog)?;
-            self.metrics.chain_depth.record(depth);
-            self.metrics.scan_versions_fetched.add(depth);
-            if let Some((_, v)) = found {
-                if !v.tombstone {
-                    out.push((vid, v.payload));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Batched ("vectorized") scan over the VID map: same results as
-    /// [`SiasDb::scan_vidmap`], but all chains are walked together with
-    /// page-grouped traversal ([`visible_versions_batch_deadline`]) —
-    /// each page is pinned once per round and serves every cursor
-    /// resident on it, instead of one pin per version per item.
-    pub fn scan_vidmap_batched(&self, txn: &Txn, rel: RelId) -> SiasResult<Vec<(Vid, Bytes)>> {
-        let _span = self.metrics.tracer.span(SpanName::EngineScanAll).txn(txn.xid.0);
-        let r = self.relation_handle(rel)?;
-        let entries = Self::vidmap_entries(&r);
-        let visible = resolve_visible(
-            &self.stack.pool,
-            &self.txm.clog,
-            &self.metrics,
-            rel,
-            &entries,
-            &txn.snapshot,
-            txn.deadline,
-        )?;
-        Ok(visible.into_iter().map(|(i, payload)| (entries[i].0, payload)).collect())
-    }
-
-    /// Parallel scan over the VID map — §4.2.1: "Note: This access path
-    /// is parallelizable and therefore complements the parallelism of the
-    /// Flash storage." The VID range is partitioned into `threads` chunks
-    /// (moved, not cloned, into the workers) executed on the engine's
-    /// shared [`ScanPool`] (workers persist across calls instead of being
-    /// spawned per scan); each worker resolves its partition with the
-    /// batched page-grouped traversal (versions are immutable and the map
-    /// is latch-free, so no coordination is needed — and the snapshot's
-    /// visibility memo is shared, so workers warm it for one another).
-    /// Results are identical to [`SiasDb::scan_vidmap`].
-    pub fn scan_vidmap_parallel(
-        &self,
-        txn: &Txn,
-        rel: RelId,
-        threads: usize,
-    ) -> SiasResult<Vec<(Vid, Bytes)>> {
-        let r = self.relation_handle(rel)?;
-        let entries = Self::vidmap_entries(&r);
-        let threads = threads.max(1).min(entries.len().max(1));
-        if threads <= 1 {
-            return self.scan_vidmap_batched(txn, rel);
-        }
-        let chunks = Self::partition(entries, threads);
+        let mut entries: Vec<(Vid, Tid)> = Vec::with_capacity(r.vidmap.vid_bound() as usize);
+        r.vidmap.for_each(|vid, tid| entries.push((vid, tid)));
+        let threads = threads.clamp(1, entries.len().max(1));
         let pool = Arc::clone(&self.stack.pool);
         let txm = Arc::clone(&self.txm);
         let metrics = Arc::clone(&self.metrics);
         let snapshot = txn.snapshot.clone();
         let deadline = txn.deadline;
-        let results: Vec<SiasResult<Vec<(Vid, Bytes)>>> = self.scan_pool.run(chunks, move |part| {
+        let resolve = move |part: Vec<(Vid, Tid)>| -> SiasResult<Vec<(Vid, Bytes)>> {
             let visible =
                 resolve_visible(&pool, &txm.clog, &metrics, rel, &part, &snapshot, deadline)?;
             Ok(visible.into_iter().map(|(i, payload)| (part[i].0, payload)).collect())
-        });
-        let mut out: Vec<(Vid, Bytes)> = Vec::new();
-        for part in results {
-            out.extend(part?);
+        };
+        if threads == 1 {
+            return resolve(entries);
         }
-        Ok(out)
-    }
-
-    /// Scalar-traversal variant of [`SiasDb::scan_vidmap_parallel`]: the
-    /// same partitioning and worker pool, but each worker walks its items
-    /// one chain at a time (one pin per version). Kept as the ablation
-    /// baseline the `readpath` bench compares the batched engine against.
-    pub fn scan_vidmap_parallel_scalar(
-        &self,
-        txn: &Txn,
-        rel: RelId,
-        threads: usize,
-    ) -> SiasResult<Vec<(Vid, Bytes)>> {
-        let r = self.relation_handle(rel)?;
-        let entries = Self::vidmap_entries(&r);
-        let threads = threads.max(1).min(entries.len().max(1));
-        if threads <= 1 {
-            return self.scan_vidmap(txn, rel);
-        }
-        let chunks = Self::partition(entries, threads);
-        let pool = Arc::clone(&self.stack.pool);
-        let txm = Arc::clone(&self.txm);
-        let snapshot = txn.snapshot.clone();
-        let chain_depth = Arc::clone(&self.metrics.chain_depth);
-        let versions_fetched = Arc::clone(&self.metrics.scan_versions_fetched);
-        let results: Vec<SiasResult<Vec<(Vid, Bytes)>>> = self.scan_pool.run(chunks, move |part| {
-            let mut local = Vec::with_capacity(part.len());
-            for (vid, entry) in part {
-                let (found, depth) =
-                    visible_version_depth(&pool, rel, entry, &snapshot, &txm.clog)?;
-                chain_depth.record(depth);
-                versions_fetched.add(depth);
-                if let Some((_, v)) = found {
-                    if !v.tombstone {
-                        local.push((vid, v.payload));
-                    }
-                }
-            }
-            Ok(local)
-        });
         let mut out: Vec<(Vid, Bytes)> = Vec::new();
-        for part in results {
+        for part in self.scan_pool.run(Self::partition(entries, threads), resolve) {
             out.extend(part?);
         }
         Ok(out)
@@ -518,16 +416,40 @@ impl SiasDb {
     /// The traditional full-relation scan (§4.2.1): reads **every** tuple
     /// version in the relation and checks each candidate individually —
     /// the HDD-era sequential access path the paper contrasts against.
-    /// Results are identical to [`SiasDb::scan_vidmap`].
+    /// Results are identical to [`SiasDb::scan`]. Computed without the
+    /// VID map or the chains, they are the independent oracle the scan
+    /// tests check `scan` against.
     pub fn scan_traditional(&self, txn: &Txn, rel: RelId) -> SiasResult<Vec<(Vid, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanAll).txn(txn.xid.0);
+        let newest = self.newest_versions(rel, |v| txn.snapshot.sees(v.create, &self.txm.clog))?;
+        let mut out: Vec<(Vid, Bytes)> = newest
+            .into_iter()
+            .filter(|(_, (_, v))| !v.tombstone)
+            .map(|(vid, (_, v))| (vid, v.payload))
+            .collect();
+        out.sort_by_key(|(vid, _)| *vid);
+        Ok(out)
+    }
+
+    /// The full-relation walk behind [`SiasDb::scan_traditional`] and
+    /// [`SiasDb::rebuild_vidmap`]: reads every live version of every
+    /// block that is not on the free list (blocks reclaimed by vacuum
+    /// hold only dead residue) and keeps, per VID, the newest version
+    /// `accept` passes, with its TID.
+    ///
+    /// "Newest" is the largest `create`. Versions one transaction wrote
+    /// to the same item share it; among those the newest is the one no
+    /// other names as its `pred` — block order is not chain order once
+    /// GC recycles blocks.
+    fn newest_versions(
+        &self,
+        rel: RelId,
+        accept: impl Fn(&TupleVersion) -> bool,
+    ) -> SiasResult<HashMap<Vid, (Tid, TupleVersion)>> {
         let r = self.relation_handle(rel)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
-        // Pass 1: read the whole relation, keeping every candidate that
-        // satisfies the raw visibility predicate. Blocks reclaimed by
-        // vacuum hold only dead residue and are skipped.
-        let mut candidates: HashMap<Vid, Vec<(Tid, TupleVersion)>> = HashMap::new();
-        for block in 0..nblocks {
+        // Per VID, every accepted version with the largest `create` seen.
+        let mut newest: HashMap<Vid, Vec<(Tid, TupleVersion)>> = HashMap::new();
+        for block in 0..self.stack.space.relation_blocks(rel) {
             if r.append.is_free(block) {
                 continue;
             }
@@ -538,23 +460,27 @@ impl SiasDb {
             })??;
             for (slot, bytes) in items {
                 let v = TupleVersion::decode(&bytes)?;
-                if txn.snapshot.sees(v.create, &self.txm.clog) {
-                    candidates.entry(v.vid).or_default().push((Tid::new(block, slot), v));
+                if !accept(&v) {
+                    continue;
                 }
+                let same = newest.entry(v.vid).or_default();
+                match same.first() {
+                    Some((_, best)) if v.create < best.create => continue,
+                    Some((_, best)) if v.create > best.create => same.clear(),
+                    _ => {}
+                }
+                same.push((Tid::new(block, slot), v));
             }
         }
-        // Pass 2: per data item, confirm the candidate against the chain
-        // (the newest visible version wins).
-        let mut out: Vec<(Vid, Bytes)> = Vec::new();
-        for (vid, mut versions) in candidates {
-            versions.sort_by_key(|(_, v)| std::cmp::Reverse(v.create));
-            let Some((_, newest)) = versions.into_iter().next() else { continue };
-            if !newest.tombstone {
-                out.push((vid, newest.payload));
-            }
-        }
-        out.sort_by_key(|(vid, _)| *vid);
-        Ok(out)
+        Ok(newest
+            .into_iter()
+            .filter_map(|(vid, mut same)| {
+                let head = same
+                    .iter()
+                    .position(|(tid, _)| same.iter().all(|(_, v)| v.pred != Some(*tid)))?;
+                Some((vid, same.swap_remove(head)))
+            })
+            .collect())
     }
 
     /// §4.3 Example 1: an update that **changes an indexed key**. A new
@@ -571,7 +497,7 @@ impl SiasDb {
     ) -> SiasResult<()> {
         let r = self.relation_handle(rel)?;
         self.update_item(txn, rel, vid, payload)?;
-        let _ = old_key; // the old record is intentionally retained
+        // The old record is intentionally retained.
         if old_key != new_key {
             self.stack.wal.append(&WalRecord::IndexInsert {
                 xid: txn.xid,
@@ -597,37 +523,11 @@ impl SiasDb {
     /// reconstruction is stored on each tuple version". The entrypoint of
     /// each item is its newest non-aborted version.
     pub fn rebuild_vidmap(&self, rel: RelId) -> SiasResult<VidMap> {
-        let r = self.relation_handle(rel)?;
-        let nblocks = self.stack.space.relation_blocks(rel);
+        let clog = &self.txm.clog;
+        let newest = self.newest_versions(rel, |v| clog.status(v.create) != TxnStatus::Aborted)?;
         let map = VidMap::new();
-        let mut best: HashMap<Vid, (Xid, Tid)> = HashMap::new();
-        for block in 0..nblocks {
-            if r.append.is_free(block) {
-                continue;
-            }
-            let items: Vec<(u16, Vec<u8>)> = self.stack.pool.with_page(rel, block, |p| {
-                p.live_slots()
-                    .map(|s| p.item(s).map(|i| (s, i.to_vec())))
-                    .collect::<SiasResult<Vec<_>>>()
-            })??;
-            for (slot, bytes) in items {
-                let v = TupleVersion::decode(&bytes)?;
-                if matches!(self.txm.clog.status(v.create), sias_txn::TxnStatus::Aborted) {
-                    continue;
-                }
-                let tid = Tid::new(block, slot);
-                best.entry(v.vid)
-                    .and_modify(|(c, t)| {
-                        if v.create > *c {
-                            *c = v.create;
-                            *t = tid;
-                        }
-                    })
-                    .or_insert((v.create, tid));
-            }
-        }
         let mut max_vid = 0u64;
-        for (vid, (_, tid)) in best {
+        for (vid, (tid, _)) in newest {
             map.set(vid, tid);
             max_vid = max_vid.max(vid.0 + 1);
         }
@@ -776,8 +676,8 @@ impl SiasDb {
 }
 
 /// The resolve loop every batched scan shares: walks all `entries`
-/// together with [`visible_versions_batch_deadline`] (one pin per page
-/// per round, deadline checked between rounds), adds its page visits
+/// together with [`visible_versions_batch`] (one pin per page per
+/// round, deadline checked between rounds), adds its page visits
 /// and versions fetched to `core.engine.scan_page_visits` /
 /// `core.engine.scan_versions_fetched`, records one chain depth per
 /// entry, and returns the visible non-tombstone payloads as
@@ -791,8 +691,7 @@ fn resolve_visible(
     snapshot: &Snapshot,
     deadline: Option<Instant>,
 ) -> SiasResult<Vec<(usize, Bytes)>> {
-    let (resolved, stats) =
-        visible_versions_batch_deadline(pool, rel, entries, snapshot, clog, deadline)?;
+    let (resolved, stats) = visible_versions_batch(pool, rel, entries, snapshot, clog, deadline)?;
     metrics.scan_page_visits.add(stats.page_visits);
     metrics.scan_versions_fetched.add(stats.versions_fetched);
     let mut out = Vec::with_capacity(resolved.len());
@@ -993,6 +892,16 @@ mod tests {
         (db, rel)
     }
 
+    /// The scalar oracle of [`SiasDb::scan`]: every VID-map entry, in
+    /// VID order, read through the scalar point-read walk.
+    fn scalar_scan(db: &SiasDb, txn: &Txn, rel: RelId) -> Vec<(Vid, Bytes)> {
+        let mut vids = Vec::new();
+        db.relation_handle(rel).unwrap().vidmap.for_each(|vid, _| vids.push(vid));
+        vids.into_iter()
+            .filter_map(|vid| Some((vid, db.read_item(txn, rel, vid).unwrap()?)))
+            .collect()
+    }
+
     #[test]
     fn insert_read_roundtrip() {
         let (db, rel) = db();
@@ -1152,19 +1061,43 @@ mod tests {
         db.delete_item(&t, rel, vids[29], None).unwrap();
         db.commit(t).unwrap();
         // Old reader: 30 items, all original payloads.
-        let scan = db.scan_vidmap(&old_reader, rel).unwrap();
+        let scan = db.scan(&old_reader, rel, 1).unwrap();
         assert_eq!(scan.len(), 30);
         assert!(scan.iter().all(|(_, p)| p.len() == 1));
+        assert_eq!(scan, scalar_scan(&db, &old_reader, rel));
         let trad = db.scan_traditional(&old_reader, rel).unwrap();
         assert_eq!(scan, trad, "both access paths agree (old snapshot)");
         db.commit(old_reader).unwrap();
         // Fresh reader: 29 items, 10 updated.
         let t = db.begin();
-        let scan = db.scan_vidmap(&t, rel).unwrap();
+        let scan = db.scan(&t, rel, 1).unwrap();
         assert_eq!(scan.len(), 29);
         assert_eq!(scan.iter().filter(|(_, p)| p.as_ref() == b"new").count(), 10);
+        assert_eq!(scan, scalar_scan(&db, &t, rel));
         assert_eq!(scan, db.scan_traditional(&t, rel).unwrap());
         db.commit(t).unwrap();
+    }
+
+    #[test]
+    fn item_written_twice_by_one_transaction_resolves_to_the_second_write() {
+        // Both updates share one `create` xid, so the full-relation walk
+        // must order them by their `pred` link, not by block order.
+        let (db, rel) = db();
+        let t = db.begin();
+        let vid = db.insert_item(&t, rel, b"initial").unwrap();
+        db.commit(t).unwrap();
+        let t = db.begin();
+        db.update_item(&t, rel, vid, b"first").unwrap();
+        db.update_item(&t, rel, vid, b"second").unwrap();
+        db.commit(t).unwrap();
+        let t = db.begin();
+        let want = vec![(vid, Bytes::from_static(b"second"))];
+        assert_eq!(db.scan(&t, rel, 1).unwrap(), want);
+        assert_eq!(db.scan_traditional(&t, rel).unwrap(), want);
+        db.commit(t).unwrap();
+        let live = db.relation_handle(rel).unwrap().vidmap.get(vid);
+        assert_eq!(live, Some(Tid::new(0, 2)));
+        assert_eq!(db.rebuild_vidmap(rel).unwrap().get(vid), live);
     }
 
     #[test]
@@ -1333,12 +1266,9 @@ mod tests {
         }
         db.commit(t).unwrap();
         let t = db.begin();
-        let serial = db.scan_vidmap(&t, rel).unwrap();
+        let serial = scalar_scan(&db, &t, rel);
         for threads in [1, 2, 4, 7] {
-            let par = db.scan_vidmap_parallel(&t, rel, threads).unwrap();
-            assert_eq!(par, serial, "{threads} threads");
-            let scalar = db.scan_vidmap_parallel_scalar(&t, rel, threads).unwrap();
-            assert_eq!(scalar, serial, "{threads} threads (scalar)");
+            assert_eq!(db.scan(&t, rel, threads).unwrap(), serial, "{threads} threads");
         }
         db.commit(t).unwrap();
     }
@@ -1368,10 +1298,9 @@ mod tests {
         }
         db.commit(t).unwrap();
         let t = db.begin();
-        let serial = db.scan_vidmap(&t, rel).unwrap();
-        assert_eq!(db.scan_vidmap_batched(&t, rel).unwrap(), serial);
-        for threads in [2, 3, 5] {
-            assert_eq!(db.scan_vidmap_parallel(&t, rel, threads).unwrap(), serial);
+        let serial = scalar_scan(&db, &t, rel);
+        for threads in [1, 2, 3, 5] {
+            assert_eq!(db.scan(&t, rel, threads).unwrap(), serial, "{threads} threads");
         }
         db.commit(t).unwrap();
     }
@@ -1394,7 +1323,7 @@ mod tests {
         let before = db.metrics_snapshot();
         let visits0 = before.counter("core.engine.scan_page_visits").unwrap();
         let fetched0 = before.counter("core.engine.scan_versions_fetched").unwrap();
-        let n = db.scan_vidmap_batched(&reader, rel).unwrap().len();
+        let n = db.scan(&reader, rel, 1).unwrap().len();
         assert_eq!(n, 64);
         let after = db.metrics_snapshot();
         let visits = after.counter("core.engine.scan_page_visits").unwrap() - visits0;
@@ -1512,9 +1441,11 @@ mod tests {
         let (db, rel) = db();
         let t = db.begin();
         assert_eq!(db.scan_all(&t, rel).unwrap(), vec![]);
-        assert_eq!(db.scan_vidmap(&t, rel).unwrap(), vec![]);
+        assert_eq!(db.scan(&t, rel, 1).unwrap(), vec![]);
+        assert_eq!(db.scan(&t, rel, 4).unwrap(), vec![]);
         assert_eq!(db.scan_traditional(&t, rel).unwrap(), vec![]);
         assert!(db.scan_all(&t, RelId(404)).is_err());
+        assert!(matches!(db.scan(&t, RelId(404), 4), Err(SiasError::UnknownRelation(_))));
         // Inverted range is empty, not an error.
         db.insert(&t, rel, 5, b"x").unwrap();
         assert_eq!(db.scan_range(&t, rel, 9, 3).unwrap(), vec![]);

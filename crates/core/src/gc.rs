@@ -663,7 +663,7 @@ mod tests {
         assert_eq!(before, after, "vacuum must not change visible state");
         // And both scan paths agree post-vacuum.
         let t = db.begin();
-        let vm = db.scan_vidmap(&t, rel).unwrap();
+        let vm = db.scan(&t, rel, 1).unwrap();
         let trad = db.scan_traditional(&t, rel).unwrap();
         db.commit(t).unwrap();
         assert_eq!(vm, trad);

@@ -2,13 +2,14 @@
 //!
 //! §4.2.1 notes the VID-map access path "is parallelizable and therefore
 //! complements the parallelism of the Flash storage". The first cut of
-//! [`crate::SiasDb::scan_vidmap_parallel`] spawned fresh OS threads on
-//! every call, which dominates the cost of short scans and thrashes the
-//! scheduler under concurrent terminals. This pool keeps a small set of
-//! long-lived workers that all scans share: jobs are boxed closures fed
-//! through an MPMC hand-off (an [`std::sync::mpsc`] channel behind a
-//! mutex-guarded receiver), and each call collects its own results over a
-//! private response channel, so concurrent scans interleave safely.
+//! the parallel VID-map scan ([`crate::SiasDb::scan`] with more than one
+//! thread) spawned fresh OS threads on every call, which dominates the
+//! cost of short scans and thrashes the scheduler under concurrent
+//! terminals. This pool keeps a small set of long-lived workers that all
+//! scans share: jobs are boxed closures fed through an MPMC hand-off (an
+//! [`std::sync::mpsc`] channel behind a mutex-guarded receiver), and each
+//! call collects its own results over a private response channel, so
+//! concurrent scans interleave safely.
 //!
 //! Workers are spawned lazily — a pool that is never used costs nothing —
 //! and capped at construction. The current worker count is published on

@@ -1,16 +1,19 @@
 //! Property: incremental GC is invisible to readers.
 //!
-//! Scans — scalar chain-at-a-time and the batched "vectors on flash"
-//! variant — taken through a snapshot opened *before* GC ran must be
+//! Scans — the scalar oracle (every VID-map entry read through
+//! `read_item`, one chain at a time) and the batched "vectors on flash"
+//! `scan` — taken through a snapshot opened *before* GC ran must be
 //! byte-identical to the same scans taken while incremental GC slices
 //! relocate live versions and (after the snapshot closes) recycle
 //! pages underneath them. This is the paper's contract for append
 //! storage maintenance: reclamation may move bytes, never visibility.
 
+use bytes::Bytes;
 use proptest::prelude::*;
+use sias_common::{RelId, Vid};
 use sias_core::{GcSliceOpts, GcStats, SiasDb};
 use sias_storage::StorageConfig;
-use sias_txn::MvccEngine;
+use sias_txn::{MvccEngine, Txn};
 
 /// One keyed history: `rounds` full-relation update sweeps over `keys`
 /// keys, then every key in `deleted` tombstoned. Payloads are a
@@ -64,6 +67,14 @@ fn payload_bytes(key: u64, round: u8, len: usize) -> Vec<u8> {
     v
 }
 
+/// The scalar oracle of `scan`: every VID-map entry, in VID order, read
+/// through the scalar point-read walk.
+fn scalar_scan(db: &SiasDb, txn: &Txn, rel: RelId) -> Vec<(Vid, Bytes)> {
+    let mut vids = Vec::new();
+    db.relation_handle(rel).unwrap().vidmap.for_each(|vid, _| vids.push(vid));
+    vids.into_iter().filter_map(|vid| Some((vid, db.read_item(txn, rel, vid).unwrap()?))).collect()
+}
+
 /// Sweeps the whole relation in bounded slices until a full pass finds
 /// no further work (relocations or reclaims), interleaved arbitrarily
 /// with whatever readers the caller holds open.
@@ -90,8 +101,8 @@ proptest! {
         let (db, rel) = build(&h);
         // The snapshot under test predates every GC action.
         let reader = db.begin();
-        let scalar_before = db.scan_vidmap(&reader, rel).unwrap();
-        let batched_before = db.scan_vidmap_batched(&reader, rel).unwrap();
+        let scalar_before = scalar_scan(&db, &reader, rel);
+        let batched_before = db.scan(&reader, rel, 1).unwrap();
         prop_assert_eq!(&scalar_before, &batched_before);
 
         // GC runs its concurrent path: the open reader keeps the
@@ -99,11 +110,11 @@ proptest! {
         // publication and horizon-deferred recycling.
         let mid = gc_until_quiet(&db, rel);
         prop_assert_eq!(
-            db.scan_vidmap(&reader, rel).unwrap(), scalar_before.clone(),
+            scalar_scan(&db, &reader, rel), scalar_before.clone(),
             "scalar scan changed under GC ({:?})", mid
         );
         prop_assert_eq!(
-            db.scan_vidmap_batched(&reader, rel).unwrap(), batched_before.clone(),
+            db.scan(&reader, rel, 1).unwrap(), batched_before.clone(),
             "batched scan changed under GC ({:?})", mid
         );
 
@@ -113,8 +124,8 @@ proptest! {
         gc_until_quiet(&db, rel);
         prop_assert_eq!(db.gc_backlog(), 0, "backlog must drain once quiescent-ish");
         let after = db.begin();
-        prop_assert_eq!(db.scan_vidmap(&after, rel).unwrap(), scalar_before.clone());
-        prop_assert_eq!(db.scan_vidmap_batched(&after, rel).unwrap(), batched_before);
+        prop_assert_eq!(scalar_scan(&db, &after, rel), scalar_before.clone());
+        prop_assert_eq!(db.scan(&after, rel, 1).unwrap(), batched_before);
         db.commit(after).unwrap();
         db.debug_validate_index(rel).unwrap();
     }
@@ -128,7 +139,7 @@ fn threaded_scans_stay_stable_under_gc() {
     let h = History { keys: 16, rounds: 8, payload: 700, deleted: vec![3, 7] };
     let (db, rel) = build(&h);
     let t = db.begin();
-    let reference = db.scan_vidmap(&t, rel).unwrap();
+    let reference = scalar_scan(&db, &t, rel);
     db.commit(t).unwrap();
 
     std::thread::scope(|s| {
@@ -144,9 +155,9 @@ fn threaded_scans_stay_stable_under_gc() {
             for i in 0..200 {
                 let t = db.begin();
                 let got = if i % 2 == 0 {
-                    db.scan_vidmap(&t, rel).unwrap()
+                    scalar_scan(&db, &t, rel)
                 } else {
-                    db.scan_vidmap_batched(&t, rel).unwrap()
+                    db.scan(&t, rel, 1).unwrap()
                 };
                 assert_eq!(got, reference, "scan {i} diverged under concurrent GC");
                 db.commit(t).unwrap();

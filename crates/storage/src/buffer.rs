@@ -30,7 +30,9 @@
 //! `with_page` / `with_page_mut` run a closure under the frame latch.
 //! **Closures must not re-enter the buffer pool** — nested calls can
 //! deadlock against the shard table lock. All engines in this workspace
-//! copy tuple bytes out of the closure and operate page-at-a-time.
+//! copy tuple bytes out of the closure and operate page-at-a-time. So a
+//! pin lasts exactly one closure, which is what lets a miss that finds
+//! every frame of its shard pinned wait for an unpin rather than fail.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -264,8 +266,9 @@ impl BufferPool {
         self
     }
 
-    /// Draws retries from a shared [`RetryBudget`] instead of giving
-    /// every miss/write-back its full per-op allowance (builder style).
+    /// Draws retries from a shared
+    /// [`RetryBudget`](crate::device::RetryBudget) instead of giving every
+    /// miss/write-back its full per-op allowance (builder style).
     pub fn with_budget(mut self, budget: Arc<crate::device::RetryBudget>) -> Self {
         self.retry_ctx.budget = Some(budget);
         self
@@ -384,6 +387,38 @@ impl BufferPool {
         Ok(block)
     }
 
+    /// Pins a resident frame for the caller and bumps its usage count
+    /// (capped at 3), as a table hit does.
+    fn pin_resident(&self, idx: usize) -> usize {
+        let frame = &self.frames[idx];
+        frame.pins.fetch_add(1, Ordering::Acquire);
+        if frame.usage.load(Ordering::Relaxed) < 3 {
+            frame.usage.fetch_add(1, Ordering::Relaxed);
+        }
+        idx
+    }
+
+    /// Classic clock sweep over `shard`'s frames: the first unpinned
+    /// frame whose usage count has decayed to zero, decrementing the
+    /// counts it passes, or `None` after five laps (every frame pinned,
+    /// or hot throughout). Call with the shard table held.
+    fn clock_victim(&self, shard: &Shard) -> Option<usize> {
+        let n = shard.len;
+        for _ in 0..5 * n {
+            let idx = shard.lo + shard.hand.fetch_add(1, Ordering::Relaxed) % n;
+            let frame = &self.frames[idx];
+            if frame.pins.load(Ordering::Acquire) > 0 {
+                continue;
+            }
+            if frame.usage.load(Ordering::Relaxed) > 0 {
+                frame.usage.fetch_sub(1, Ordering::Relaxed);
+                continue;
+            }
+            return Some(idx);
+        }
+        None
+    }
+
     /// Looks the page up, reading it in on a miss. Returns the frame
     /// index with one pin held by the caller. All table work happens in
     /// the key's shard: the hit probe, the victim sweep (only this
@@ -406,36 +441,29 @@ impl BufferPool {
         let shard = self.shard_of(key);
         let mut table = shard.table.lock();
         if let Some(&idx) = table.get(&key) {
-            let frame = &self.frames[idx];
-            frame.pins.fetch_add(1, Ordering::Acquire);
-            if frame.usage.load(Ordering::Relaxed) < 3 {
-                frame.usage.fetch_add(1, Ordering::Relaxed);
-            }
             shard.cell.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(idx);
+            return Ok(self.pin_resident(idx));
         }
         shard.cell.misses.fetch_add(1, Ordering::Relaxed);
         // The whole miss path — victim search, eviction write-back, and
         // the synchronous device read — counts as the miss span.
         let _span = self.stats.tracer.span(SpanName::PoolMiss).arg(block as u64);
-        // Victim search: classic clock sweep over this shard's frames.
-        let n = shard.len;
-        let mut victim = None;
-        for _ in 0..5 * n {
-            let idx = shard.lo + shard.hand.fetch_add(1, Ordering::Relaxed) % n;
-            let frame = &self.frames[idx];
-            if frame.pins.load(Ordering::Acquire) > 0 {
-                continue;
+        // With every frame of the shard pinned, wait for an unpin instead
+        // of failing: a pin lasts one closure, which never re-enters the
+        // pool, so it is released without this thread's help. The table
+        // is released meanwhile, and the key looked up again after each
+        // yield — another thread may have read the page in.
+        let idx = loop {
+            if let Some(idx) = self.clock_victim(shard) {
+                break idx;
             }
-            if frame.usage.load(Ordering::Relaxed) > 0 {
-                frame.usage.fetch_sub(1, Ordering::Relaxed);
-                continue;
+            drop(table);
+            std::thread::yield_now();
+            table = shard.table.lock();
+            if let Some(&idx) = table.get(&key) {
+                return Ok(self.pin_resident(idx));
             }
-            victim = Some(idx);
-            break;
-        }
-        let idx =
-            victim.ok_or_else(|| SiasError::Device("buffer pool exhausted (all pinned)".into()))?;
+        };
         let frame = &self.frames[idx];
         frame.pins.fetch_add(1, Ordering::Acquire);
         // Take the frame latch *before* publishing the new mapping so no
@@ -578,24 +606,9 @@ impl BufferPool {
                 continue; // resident (or already claimed by this batch)
             }
             shard.cell.misses.fetch_add(1, Ordering::Relaxed);
-            let n = shard.len;
-            let mut victim = None;
-            for _ in 0..5 * n {
-                let idx = shard.lo + shard.hand.fetch_add(1, Ordering::Relaxed) % n;
-                let frame = &self.frames[idx];
-                if frame.pins.load(Ordering::Acquire) > 0 {
-                    continue;
-                }
-                if frame.usage.load(Ordering::Relaxed) > 0 {
-                    frame.usage.fetch_sub(1, Ordering::Relaxed);
-                    continue;
-                }
-                victim = Some(idx);
-                break;
-            }
             // Pool pressure (everything pinned or hot): prefetching is
             // optional, leave the page to the foreground fetch.
-            let Some(idx) = victim else { continue };
+            let Some(idx) = self.clock_victim(shard) else { continue };
             let frame = &self.frames[idx];
             frame.pins.fetch_add(1, Ordering::Acquire);
             // Same ordering as `fetch`: latch under the table lock; the
@@ -1341,21 +1354,36 @@ mod tests {
     }
 
     #[test]
-    fn pool_exhaustion_is_an_error_not_a_hang() {
-        // 2-frame pool; pin both via nested closure misuse is forbidden,
-        // so simulate by holding many blocks hot with usage counts: the
-        // sweep always finds a victim since pins are released. Here we
-        // verify the error path by pinning frames through a long closure
-        // in another thread is impractical; instead check that a fresh
-        // pool with all frames pinned reports an error.
+    fn miss_with_every_frame_pinned_waits_for_an_unpin() {
+        // One shard of two frames: two readers pin both inside
+        // `with_page` while a third fetch misses. The miss must wait for
+        // a pin to go, not fail.
         let (p, _d) = pool(2);
         let rel = RelId(1);
-        let b0 = p.allocate_block(rel).unwrap();
-        let b1 = p.allocate_block(rel).unwrap();
-        let b2 = p.allocate_block(rel).unwrap();
-        // No pins held here; must succeed.
-        p.with_page(rel, b0, |_| ()).unwrap();
-        p.with_page(rel, b1, |_| ()).unwrap();
-        p.with_page(rel, b2, |_| ()).unwrap();
+        let blocks: Vec<BlockId> = (0..3).map(|_| p.allocate_block(rel).unwrap()).collect();
+        let (pinned_tx, pinned_rx) = std::sync::mpsc::channel();
+        let release = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for &b in &blocks[..2] {
+                let (p, pinned_tx, release) = (&p, pinned_tx.clone(), &release);
+                s.spawn(move || {
+                    p.with_page(rel, b, |_| {
+                        pinned_tx.send(()).unwrap();
+                        release.wait();
+                    })
+                    .unwrap()
+                });
+            }
+            pinned_rx.recv().unwrap();
+            pinned_rx.recv().unwrap();
+            let misses = p.stats().misses;
+            let third = s.spawn(|| p.with_page(rel, blocks[2], |_| ()));
+            while p.stats().misses == misses {
+                std::thread::yield_now();
+            }
+            release.wait();
+            third.join().unwrap().unwrap();
+        });
+        p.debug_validate();
     }
 }

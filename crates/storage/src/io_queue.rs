@@ -10,8 +10,8 @@
 //! device; `reap_exact` blocks until a batch's completions arrive, in
 //! whatever order the device finished them. The shape matches
 //! io_uring's SQ/CQ split, implemented portably with a worker pool so
-//! it runs on any platform and over any [`Device`] — including the
-//! simulated ones in tests.
+//! it runs on any platform and over any [`Device`](crate::Device) —
+//! including the simulated ones in tests.
 //!
 //! Batches are isolated: every `submit` returns a batch id and
 //! `reap_exact` only ever returns that batch's completions, so
