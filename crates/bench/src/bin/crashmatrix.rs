@@ -1,12 +1,11 @@
 //! **Crash matrix** — deterministic fault-injection sweep.
 //!
-//! Runs the seeded chaos workload (`sias_workload::chaos`) once per
-//! seed, then crashes the engine at every Nth WAL-record boundary,
-//! recovers each prefix, and checks the pre-crash history against the
-//! black-box SI-anomaly and durability checker. Every fault sequence is
-//! a `(seed, crash_point)` pair: re-running with the same arguments
-//! reproduces the same records, the same verdicts and the same
-//! fingerprints, bit for bit.
+//! Runs one chaos scenario (`sias_workload::chaos::run`) per seed — per
+//! seed and crash point under `--gc`, per seed and isolation level
+//! under `--skew` — prints each run's summary, checker violations and
+//! gate failures, and exits non-zero on any of them. Every run is
+//! reproducible from its arguments: the same records, the same verdicts
+//! and the same fingerprints, bit for bit.
 //!
 //! ```text
 //! cargo run --release -p sias-bench --bin crashmatrix -- \
@@ -16,335 +15,178 @@
 //!     [--enospc] [--quota-pages 24] [--low-watermark 50]
 //! ```
 //!
-//! Exits non-zero if any violation is found — except under
-//! `--plant-bug`, where the harness impersonates an ack-before-force
-//! engine and exits non-zero unless the checker *catches* it.
+//! Modes (the scenario's gate is in `sias_workload::chaos`):
 //!
-//! Every chaos run records into an always-on flight recorder; whenever
-//! the checker finds violations the retained span window (including the
-//! `anomaly.flag` instants the matrix stamps per violation) is dumped
-//! automatically to `results/TRACE_crashmatrix_seed<seed>.jsonl` plus a
-//! Chrome `trace_event` twin — no flag needed. `--trace-out <path>`
-//! additionally dumps the last seed's window to an explicit path, and
-//! `--metrics-out` writes per-seed pre-crash metrics snapshots.
+//! * default — the multi-terminal workload, crashed at every
+//!   `--crash-every`th WAL-record boundary; each prefix is recovered and
+//!   checked for durability. `--hostile` adds a faulty data device,
+//!   `--ssi` runs serializable (no G2 cycle may survive), and
+//!   `--plant-bug` impersonates an ack-before-force engine: the run then
+//!   exits non-zero unless the checker *catches* it (DUR-ACK).
+//! * `--scrub` — flip one bit in each of `--rot-pages` sealed pages, then
+//!   scrub: every corrupt page must be repaired, the history clean.
+//! * `--gc` — kill an incremental GC slice at each of its three
+//!   relocation crash points: recovery must lose no committed version,
+//!   and the surviving engine must finish GC with a clean history.
+//! * `--skew` — `--pairs` planted write skews under plain SI (one G2
+//!   cycle per pair) and under SSI (one pivot aborted per pair, no G2).
+//! * `--enospc` — fill a `--quota-pages` WAL quota: the engine must turn
+//!   typed read-only, keep serving reads, reclaim and heal.
 //!
-//! `--scrub` swaps the crash sweep for the scrubber scenario: per seed,
-//! run the serial tagged workload, checkpoint, flip one bit in each of
-//! `--rot-pages` sealed data pages behind the cache's back, then sweep
-//! with the scrubber. Exits non-zero unless every corrupt page was
-//! repaired (`pages_corrupt == pages_repaired`) and the post-repair
-//! history passes the SI-anomaly checker with zero violations.
-//!
-//! `--gc` swaps the crash sweep for the incremental-GC crash gate: per
-//! seed and per relocation crash point (after the relocation append,
-//! after the CAS publish, just before a deferred recycle), the
-//! update-heavy serial workload builds garbage, GC is killed mid-slice,
-//! the WAL is recovered on a fresh stack, and the run fails unless
-//! recovery lost no committed version and both the recovered and the
-//! surviving engine show zero anomalies.
-//!
-//! `--enospc` swaps the crash sweep for the log-exhaustion gate: per
-//! seed, the serial tagged workload fills a tiny WAL quota until the
-//! space accountant trips; the run fails unless the engine degraded to
-//! typed read-only, kept serving reads, reclaimed space and returned to
-//! healthy with zero SI anomalies over the whole history.
-//!
-//! `--ssi` runs the chaos workload under serializable snapshot
-//! isolation; the matrix then additionally gates the history on the
-//! serialization-graph checker (no G2 cycle may survive SSI).
-//!
-//! `--skew` swaps the crash sweep for the planted write-skew gate: per
-//! seed, `--pairs` textbook write skews run under plain SI *and* under
-//! SSI. Exits non-zero unless SI exhibits exactly one G2 cycle per pair
-//! (proving the checker sees them) and SSI aborts one pivot per pair
-//! leaving zero G2 (proving the machinery kills them).
+//! Every run records into an always-on flight recorder; whenever the
+//! checker finds violations the retained span window (including the
+//! `anomaly.flag` instants stamped per violation) is dumped to
+//! `results/TRACE_crashmatrix_seed<seed>.jsonl` plus a Chrome
+//! `trace_event` twin — no flag needed. `--trace-out <path>` also dumps
+//! the last run's window to an explicit path, and `--metrics-out` writes
+//! per-run metrics snapshots.
 
 use sias_core::GcCrashPoint;
 use sias_obs::export;
 use sias_storage::FaultConfig;
-use sias_workload::chaos::{
-    crash_matrix, enospc_scenario, gc_crash_scenario, scrub_scenario, write_skew_scenario,
-    ChaosConfig,
-};
+use sias_workload::chaos::{self, ChaosConfig, Scenario};
 
 use sias_bench::{arg_value, write_results, ObsArgs};
 
-/// The `--gc` gate: seeded crashes inside incremental GC slices. Per
-/// seed, the update-heavy serial workload builds version garbage, then
-/// GC is killed at each of the three relocation crash points in turn;
-/// every run must recover with zero lost keys, zero SI anomalies, and a
-/// live engine whose index survives validation.
-fn run_gc_gate(seeds: u64, txns: usize, keys: u64) {
-    const POINTS: [GcCrashPoint; 3] = [
-        GcCrashPoint::AfterRelocationAppend,
-        GcCrashPoint::AfterCasPublish,
-        GcCrashPoint::BeforeRecycle,
-    ];
-    println!(
-        "GC crash gate: {seeds} seeds x {} crash points, {txns} txns over {keys} keys\n",
-        POINTS.len()
-    );
-    let mut failures = 0usize;
-    for seed in 1..=seeds {
-        for point in POINTS {
-            let cfg = ChaosConfig { seed, txns, keys, ..ChaosConfig::default() };
-            let report = gc_crash_scenario(&cfg, point);
-            println!("{}", report.summary());
-            for v in &report.violations {
-                println!("    [{}] {}", v.condition, v.detail);
-            }
-            if !report.crash_fired {
-                println!(
-                    "    FAIL: crash point {point:?} was never reached — the gate proved nothing"
-                );
-                failures += 1;
-            }
-            if report.lost_keys > 0 {
-                println!("    FAIL: {} committed keys lost across the crash", report.lost_keys);
-                failures += 1;
-            }
-            failures += report.violations.len();
-        }
-    }
-    if failures > 0 {
-        println!("\nFAIL: {failures} GC crash-gate failures");
-        std::process::exit(1);
-    }
-    println!("\nevery mid-relocation crash recovered with zero anomalies and no lost versions");
-}
-
-/// The `--scrub` sweep: seeded bit-rot, scrub, verify, report.
-fn run_scrub_sweep(seeds: u64, rot_pages: usize, txns: usize, keys: u64) {
-    println!(
-        "Scrub matrix: {seeds} seeds, {rot_pages} rotted pages per run, \
-         {txns} txns over {keys} keys\n"
-    );
-    let mut failures = 0usize;
-    for seed in 1..=seeds {
-        let cfg = ChaosConfig { seed, txns, keys, ..ChaosConfig::default() };
-        let report = scrub_scenario(&cfg, rot_pages);
-        println!("{}", report.summary());
-        for v in &report.violations {
-            println!("    [{}] {}", v.condition, v.detail);
-        }
-        if report.pages_corrupt != report.pages_repaired {
-            println!(
-                "    FAIL: {} corrupt pages but only {} repaired",
-                report.pages_corrupt, report.pages_repaired
-            );
-            failures += 1;
-        }
-        if report.pages_corrupt == 0 {
-            println!("    FAIL: seeded rot did not corrupt any page — the sweep proved nothing");
-            failures += 1;
-        }
-        failures += report.violations.len();
-    }
-    if failures > 0 {
-        println!("\nFAIL: {failures} scrub failures");
-        std::process::exit(1);
-    }
-    println!("\nevery rotted page was detected, repaired and reclaimed; histories stayed clean");
-}
-
-/// The `--enospc` gate: fill the WAL quota under load, require a
-/// typed-degradation story. Per seed the serial tagged workload writes
-/// until the space accountant trips the hard watermark; the run fails
-/// unless the health machine observably entered ReadOnly, reads kept
-/// serving while degraded, every rejection was typed (the scenario
-/// panics on any untyped error or torn state), the emergency reclaim
-/// returned the engine to Healthy, and the whole history — rejections
-/// and post-reclaim writes included — shows zero SI anomalies.
-fn run_enospc_gate(seeds: u64, quota_pages: u64, low_watermark: u64) {
-    println!(
-        "ENOSPC gate: {seeds} seeds, {quota_pages}-page WAL quota, \
-         low watermark {low_watermark}%\n"
-    );
-    let mut failures = 0usize;
-    for seed in 1..=seeds {
-        let report = enospc_scenario(&ChaosConfig::with_seed(seed), quota_pages, low_watermark);
-        println!("{}", report.summary());
-        for v in &report.violations {
-            println!("    [{}] {}", v.condition, v.detail);
-        }
-        if !report.readonly_entered {
-            println!("    FAIL: the quota never forced ReadOnly — the gate proved nothing");
-            failures += 1;
-        }
-        if !report.reads_served_readonly {
-            println!("    FAIL: reads failed while the engine was read-only");
-            failures += 1;
-        }
-        if !report.recovered {
-            println!("    FAIL: engine did not return to Healthy after reclaim");
-            failures += 1;
-        }
-        if report.writes_rejected == 0 {
-            println!("    FAIL: no write was ever rejected — the quota never bound");
-            failures += 1;
-        }
-        failures += report.violations.len();
-    }
-    if failures > 0 {
-        println!("\nFAIL: {failures} ENOSPC gate failures");
-        std::process::exit(1);
-    }
-    println!(
-        "\nevery full-log run degraded to typed read-only, kept serving reads, \
-         reclaimed space and healed with zero anomalies"
-    );
-}
-
-/// The `--skew` gate: planted write skew under SI and under SSI.
-fn run_skew_gate(seeds: u64, pairs: u64) {
-    println!("Write-skew gate: {seeds} seeds, {pairs} constraint pairs per run\n");
-    let mut failures = 0usize;
-    for seed in 1..=seeds {
-        let si = write_skew_scenario(&ChaosConfig::with_seed(seed), pairs);
-        println!("si : {}", si.summary());
-        if si.g2_violations.len() != pairs as usize {
-            println!(
-                "    FAIL: plain SI must exhibit one G2 cycle per pair, found {}",
-                si.g2_violations.len()
-            );
-            failures += 1;
-        }
-        let cfg = ChaosConfig { serializable: true, ..ChaosConfig::with_seed(seed) };
-        let ssi = write_skew_scenario(&cfg, pairs);
-        println!("ssi: {}", ssi.summary());
-        if !ssi.g2_violations.is_empty() {
-            println!("    FAIL: G2 cycle survived SSI: {:?}", ssi.g2_violations);
-            failures += 1;
-        }
-        if ssi.aborted_txns != pairs || ssi.serialization_aborts != pairs {
-            println!(
-                "    FAIL: SSI must abort exactly one pivot per pair, aborted {} (ssi {})",
-                ssi.aborted_txns, ssi.serialization_aborts
-            );
-            failures += 1;
-        }
-        for report in [&si, &ssi] {
-            if !report.si_violations.is_empty() {
-                println!("    FAIL: SI anomalies in skew run: {:?}", report.si_violations);
-                failures += 1;
-            }
-        }
-    }
-    if failures > 0 {
-        println!("\nFAIL: {failures} write-skew gate failures");
-        std::process::exit(1);
-    }
-    println!("\nSI saw every planted skew as G2; SSI aborted one pivot per pair, zero G2");
+/// The value following `--name`, parsed, or `default`.
+fn num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    arg_value(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let obs_args = ObsArgs::parse(&args);
-    let seeds: u64 = arg_value(&args, "--seeds").and_then(|v| v.parse().ok()).unwrap_or(8);
-    if args.iter().any(|a| a == "--enospc") {
-        let quota_pages: u64 =
-            arg_value(&args, "--quota-pages").and_then(|v| v.parse().ok()).unwrap_or(24);
-        let low_watermark: u64 =
-            arg_value(&args, "--low-watermark").and_then(|v| v.parse().ok()).unwrap_or(50);
-        run_enospc_gate(seeds, quota_pages, low_watermark);
-        return;
-    }
-    if args.iter().any(|a| a == "--skew") {
-        let pairs: u64 = arg_value(&args, "--pairs").and_then(|v| v.parse().ok()).unwrap_or(4);
-        run_skew_gate(seeds, pairs);
-        return;
-    }
-    if args.iter().any(|a| a == "--gc") {
-        let txns: usize = arg_value(&args, "--txns").and_then(|v| v.parse().ok()).unwrap_or(48);
-        let keys: u64 = arg_value(&args, "--keys").and_then(|v| v.parse().ok()).unwrap_or(12);
-        run_gc_gate(seeds, txns, keys);
-        return;
-    }
-    if args.iter().any(|a| a == "--scrub") {
-        let rot_pages: usize =
-            arg_value(&args, "--rot-pages").and_then(|v| v.parse().ok()).unwrap_or(3);
-        let txns: usize = arg_value(&args, "--txns").and_then(|v| v.parse().ok()).unwrap_or(48);
-        let keys: u64 = arg_value(&args, "--keys").and_then(|v| v.parse().ok()).unwrap_or(12);
-        run_scrub_sweep(seeds, rot_pages, txns, keys);
-        return;
-    }
-    let crash_every: u64 =
-        arg_value(&args, "--crash-every").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let hostile = args.iter().any(|a| a == "--hostile");
+    let flag = |name: &str| args.iter().any(|a| a == name);
+    let seeds: u64 = num(&args, "--seeds", 8);
+    let (hostile, plant_bug, ssi) = (flag("--hostile"), flag("--plant-bug"), flag("--ssi"));
     // Under --hostile, default to a working set the 48-frame chaos pool
-    // cannot cache, so the faulty device actually sees traffic.
-    let (default_txns, default_keys) = if hostile { (120, 400) } else { (48, 12) };
-    let txns: usize =
-        arg_value(&args, "--txns").and_then(|v| v.parse().ok()).unwrap_or(default_txns);
-    let keys: u64 = arg_value(&args, "--keys").and_then(|v| v.parse().ok()).unwrap_or(default_keys);
-    let terminals: usize =
-        arg_value(&args, "--terminals").and_then(|v| v.parse().ok()).unwrap_or(4);
-    let plant_bug = args.iter().any(|a| a == "--plant-bug");
-    let ssi = args.iter().any(|a| a == "--ssi");
+    // cannot cache, large enough that every seed's faulty device injects
+    // faults (the sweep's gate fails a seed that saw none).
+    let (default_txns, default_keys) = if hostile { (400, 2000) } else { (48, 12) };
+    let txns: usize = num(&args, "--txns", default_txns);
+    let keys: u64 = num(&args, "--keys", default_keys);
+    let terminals: usize = num(&args, "--terminals", 4);
 
-    println!(
-        "Crash matrix: {seeds} seeds, crash every {crash_every} records, {txns} txns \
-         x {terminals} terminals over {keys} keys{}{}{}\n",
-        if hostile { ", hostile data device" } else { "" },
-        if plant_bug { ", planted ack-before-force bug" } else { "" },
-        if ssi { ", serializable (SSI)" } else { "" },
-    );
+    // Per mode: the header, the runs of one seed as (serializable,
+    // scenario), what a failure counts, and the line a pass prints.
+    let (header, runs, noun, pass) = if flag("--enospc") {
+        let (quota_pages, low_watermark_pct) =
+            (num(&args, "--quota-pages", 24), num(&args, "--low-watermark", 50));
+        (
+            format!(
+                "ENOSPC gate: {seeds} seeds, {quota_pages}-page WAL quota, \
+                 low watermark {low_watermark_pct}%"
+            ),
+            vec![(ssi, Scenario::Enospc { quota_pages, low_watermark_pct })],
+            "ENOSPC gate failures",
+            "every full-log run degraded to typed read-only, kept serving reads, \
+             reclaimed space and healed with zero anomalies",
+        )
+    } else if flag("--skew") {
+        let pairs = num(&args, "--pairs", 4);
+        (
+            format!("Write-skew gate: {seeds} seeds, {pairs} constraint pairs per run"),
+            vec![(false, Scenario::WriteSkew { pairs }), (true, Scenario::WriteSkew { pairs })],
+            "write-skew gate failures",
+            "SI saw every planted skew as G2; SSI aborted one pivot per pair, zero G2",
+        )
+    } else if flag("--gc") {
+        let points = [
+            GcCrashPoint::AfterRelocationAppend,
+            GcCrashPoint::AfterCasPublish,
+            GcCrashPoint::BeforeRecycle,
+        ];
+        (
+            format!(
+                "GC crash gate: {seeds} seeds x {} crash points, {txns} txns over {keys} keys",
+                points.len()
+            ),
+            points.map(|p| (ssi, Scenario::GcCrash(p))).to_vec(),
+            "GC crash-gate failures",
+            "every mid-relocation crash recovered with zero anomalies and no lost versions",
+        )
+    } else if flag("--scrub") {
+        let rot_pages = num(&args, "--rot-pages", 3);
+        (
+            format!(
+                "Scrub matrix: {seeds} seeds, {rot_pages} rotted pages per run, \
+                 {txns} txns over {keys} keys"
+            ),
+            vec![(ssi, Scenario::Scrub { rot_pages })],
+            "scrub failures",
+            "every rotted page was detected, repaired and reclaimed; histories stayed clean",
+        )
+    } else {
+        let every = num(&args, "--crash-every", 16);
+        (
+            format!(
+                "Crash matrix: {seeds} seeds, crash every {every} records, {txns} txns \
+                 x {terminals} terminals over {keys} keys{}{}{}",
+                if hostile { ", hostile data device" } else { "" },
+                if plant_bug { ", planted ack-before-force bug" } else { "" },
+                if ssi { ", serializable (SSI)" } else { "" },
+            ),
+            vec![(ssi, Scenario::CrashSweep { every })],
+            "crash-matrix failures",
+            "no violations: every acknowledged commit survived every crash point",
+        )
+    };
+    println!("{header}\n");
 
-    let mut total_violations = 0usize;
-    let mut caught_planted_bug = false;
+    let (mut violations, mut failures, mut caught_planted_bug) = (0usize, 0usize, false);
     let mut snaps: Vec<(String, sias_obs::MetricsSnapshot)> = Vec::new();
     let mut last_trace: Vec<sias_obs::TraceEvent> = Vec::new();
     for seed in 1..=seeds {
-        let cfg = ChaosConfig {
-            seed,
-            txns,
-            keys,
-            terminals,
-            // The chaos pool is tiny but its device traffic is still
-            // modest, so --hostile uses rates well above the storage
-            // layer's `hostile` preset to make faults actually land.
-            data_faults: if hostile {
-                FaultConfig {
-                    torn_write_ppm: 200_000,
-                    dropped_write_ppm: 100_000,
-                    transient_error_ppm: 150_000,
-                    bitrot_ppm: 50_000,
-                    ..FaultConfig::hostile(seed)
+        for &(serializable, scenario) in &runs {
+            let cfg = ChaosConfig {
+                seed,
+                txns,
+                keys,
+                terminals,
+                // The chaos pool is tiny but its device traffic is still
+                // modest, so --hostile uses rates well above the storage
+                // layer's `hostile` preset to make faults actually land.
+                data_faults: if hostile {
+                    FaultConfig {
+                        torn_write_ppm: 200_000,
+                        dropped_write_ppm: 100_000,
+                        transient_error_ppm: 150_000,
+                        bitrot_ppm: 50_000,
+                        ..FaultConfig::hostile(seed)
+                    }
+                } else {
+                    FaultConfig::none()
+                },
+                plant_durability_bug: plant_bug,
+                serializable,
+                ..ChaosConfig::default()
+            };
+            let report = chaos::run(&cfg, scenario);
+            println!("{}", report.summary);
+            for (point, v) in &report.violations {
+                match point {
+                    Some(point) => println!("    crash@{point}: [{}] {}", v.condition, v.detail),
+                    None => println!("    [{}] {}", v.condition, v.detail),
                 }
-            } else {
-                FaultConfig::none()
-            },
-            plant_durability_bug: plant_bug,
-            serializable: ssi,
-            ..ChaosConfig::default()
-        };
-        let report = crash_matrix(&cfg, crash_every);
-        println!("{}", report.summary());
-        for (point, v) in &report.violations {
-            println!("    crash@{point}: [{}] {}", v.condition, v.detail);
-            if v.condition == "DUR-ACK" {
-                caught_planted_bug = true;
             }
+            for f in &report.failures {
+                println!("    FAIL: {f}");
+            }
+            caught_planted_bug |= report.violations.iter().any(|(_, v)| v.condition == "DUR-ACK");
+            violations += report.violations.len();
+            failures += report.failures.len();
+            // The flight recorder's contract: an anomaly verdict dumps the
+            // retained window without being asked.
+            if !report.violations.is_empty() {
+                let stem = format!("TRACE_crashmatrix_seed{seed}");
+                let events = &report.trace_events;
+                let p = write_results(&format!("{stem}.jsonl"), &export::to_jsonl(events));
+                write_results(&format!("{stem}.chrome.json"), &export::to_chrome_trace(events));
+                println!("    flight recorder: dumped {} events to {}", events.len(), p.display());
+            }
+            snaps.push((format!("seed{seed}"), report.metrics));
+            last_trace = report.trace_events;
         }
-        total_violations += report.violations.len();
-        // The flight recorder's contract: an anomaly verdict dumps the
-        // retained window without being asked.
-        if !report.violations.is_empty() {
-            let stem = format!("TRACE_crashmatrix_seed{seed}");
-            let p =
-                write_results(&format!("{stem}.jsonl"), &export::to_jsonl(&report.trace_events));
-            write_results(
-                &format!("{stem}.chrome.json"),
-                &export::to_chrome_trace(&report.trace_events),
-            );
-            println!(
-                "    flight recorder: dumped {} events to {}",
-                report.trace_events.len(),
-                p.display()
-            );
-        }
-        snaps.push((format!("seed{seed}"), report.metrics.clone()));
-        last_trace = report.trace_events;
     }
 
     if let Some((p, c)) = obs_args.dump_trace(&last_trace) {
@@ -353,18 +195,19 @@ fn main() {
     if let Some(p) = obs_args.dump_metrics(&snaps) {
         println!("wrote {}", p.display());
     }
-
-    if plant_bug {
-        if caught_planted_bug {
-            println!("\nplanted durability bug caught: checker is alive");
-        } else {
-            println!("\nFAIL: planted durability bug was NOT caught");
-            std::process::exit(1);
-        }
-    } else if total_violations > 0 {
-        println!("\nFAIL: {total_violations} violations");
+    // Under --plant-bug violations are the point; gate failures still
+    // count.
+    if plant_bug && !caught_planted_bug {
+        println!("\nFAIL: planted durability bug was NOT caught");
         std::process::exit(1);
-    } else {
-        println!("\nno violations: every acknowledged commit survived every crash point");
     }
+    let failed = failures + if plant_bug { 0 } else { violations };
+    if failed > 0 {
+        println!("\nFAIL: {failed} {noun}");
+        std::process::exit(1);
+    }
+    println!(
+        "\n{}",
+        if plant_bug { "planted durability bug caught: checker is alive" } else { pass }
+    );
 }

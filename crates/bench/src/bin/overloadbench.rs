@@ -46,6 +46,7 @@ use sias_bench::{arg_value, write_results, ObsArgs};
 use sias_core::{AdmissionConfig, SiasDb};
 use sias_storage::{StorageConfig, WalConfig};
 use sias_txn::MvccEngine;
+use sias_workload::random::SplitMix64;
 
 /// WAL force latency (µs of real time per device force): commits are
 /// device-bound the way the paper's flash experiments are, and the
@@ -144,18 +145,6 @@ fn admission_cfg() -> AdmissionConfig {
     }
 }
 
-/// splitmix64, same stream discipline as the chaos harness.
-struct Rng(u64);
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
 fn quantile(sorted: &[u64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -201,11 +190,11 @@ fn one_txn(
     rel: sias_common::RelId,
     txn: sias_txn::Txn,
     keys: u64,
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     expected: &[AtomicU64],
 ) -> Result<(), ()> {
-    let k1 = rng.next() % keys;
-    let k2 = (k1 + 1 + rng.next() % (keys - 1)) % keys;
+    let k1 = rng.next_u64() % keys;
+    let k2 = (k1 + 1 + rng.next_u64() % (keys - 1)) % keys;
     for key in [k1, k2] {
         let cur = match db.get(&txn, rel, key) {
             Ok(Some(bytes)) => u64::from_le_bytes(bytes[..8].try_into().unwrap()),
@@ -273,7 +262,7 @@ fn run_cell(
             let db = &db;
             let expected = &expected;
             handles.push(s.spawn(move || {
-                let mut rng = Rng(seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+                let mut rng = SplitMix64(seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f));
                 let mut out = WorkerOut {
                     attempted: 0,
                     committed: 0,

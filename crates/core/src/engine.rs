@@ -14,7 +14,7 @@
 //!   baseline): rows addressed by a unique `u64` key through the
 //!   relation's B+-tree.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,7 +56,10 @@ pub struct SiasDb {
     pub(crate) stack: StorageStack,
     pub(crate) txm: Arc<TransactionManager>,
     catalog: RwLock<HashMap<String, RelId>>,
-    rels: RwLock<HashMap<RelId, Arc<SiasRelation>>>,
+    /// Ordered by id, so every all-relations pass (checkpoint, vacuum,
+    /// scrub, maintenance, flushing) visits relations in the same order
+    /// in every process and page allocation stays deterministic.
+    rels: RwLock<BTreeMap<RelId, Arc<SiasRelation>>>,
     next_rel: AtomicU32,
     policy: FlushPolicy,
     /// Pages per background-writer round under the t1 policy.
@@ -92,7 +95,7 @@ impl SiasDb {
             stack,
             txm,
             catalog: RwLock::new(HashMap::new()),
-            rels: RwLock::new(HashMap::new()),
+            rels: RwLock::new(BTreeMap::new()),
             next_rel: AtomicU32::new(1),
             policy,
             bgwriter_budget: 128,
@@ -139,24 +142,22 @@ impl SiasDb {
         self.rels.read().get(&rel).cloned().ok_or(SiasError::UnknownRelation(rel))
     }
 
-    /// All relation handles (GC sweeps, diagnostics).
+    /// All relation handles in `RelId` order (GC sweeps, checkpoints,
+    /// diagnostics).
     pub fn relation_handles(&self) -> Vec<Arc<SiasRelation>> {
         self.rels.read().values().cloned().collect()
     }
 
-    /// SSI read hook (no-op unless serializable mode is on): takes the
-    /// SIREAD mark and reports every *newer* version creator the
-    /// snapshot skipped on this key — those are read-time
-    /// rw-antidependencies (reader → writer) that the write-path hook
-    /// alone cannot see when the write happened before the read.
+    /// SSI read hook: [`TransactionManager::ssi_read`] with this engine's
+    /// walk, which reports every *newer* version creator the snapshot
+    /// skipped on `key` — the read-time rw-antidependencies (reader →
+    /// writer) the write hook cannot see when the write came first.
     fn ssi_read(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        if !self.txm.ssi.is_enabled() {
-            return Ok(());
-        }
-        let r = self.relation_handle(rel)?;
-        let mut newer: Vec<Xid> = Vec::new();
-        for vid in r.index.lookup(key)? {
-            if let Some(entry) = r.vidmap.get(Vid(vid)) {
+        self.txm.ssi_read(txn, rel, key, || {
+            let r = self.relation_handle(rel)?;
+            let mut newer: Vec<Xid> = Vec::new();
+            for vid in r.index.lookup(key)? {
+                let Some(entry) = r.vidmap.get(Vid(vid)) else { continue };
                 let skipped = skipped_newer_writers(
                     &self.stack.pool,
                     rel,
@@ -170,29 +171,8 @@ impl SiasDb {
                     }
                 }
             }
-        }
-        if self.txm.ssi.on_read(txn.xid, rel, key, &newer) == sias_txn::SsiVerdict::MustAbort {
-            self.txm.record_serialization_abort();
-            return Err(SiasError::SerializationFailure(txn.xid));
-        }
-        Ok(())
-    }
-
-    /// SSI write hook: flags rw-antidependencies from concurrent readers
-    /// of `key`; aborts the writer when it becomes a pivot (or when the
-    /// edge would turn an already-committed reader into one).
-    fn ssi_write(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        if self.txm.ssi.is_enabled() {
-            let txm = &self.txm;
-            let verdict = txm.ssi.on_write(txn.xid, rel, key, |r| {
-                txm.is_active(r) || txn.snapshot.is_concurrent(r) || r > txn.xid
-            });
-            if verdict == sias_txn::SsiVerdict::MustAbort {
-                self.txm.record_serialization_abort();
-                return Err(SiasError::SerializationFailure(txn.xid));
-            }
-        }
-        Ok(())
+            Ok(newer)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -548,10 +528,13 @@ impl SiasDb {
                 return Err(SiasError::Index(format!("duplicate key {key}")));
             }
         }
-        self.ssi_write(txn, rel, key)?;
         let vid = self.insert_item_inner(txn, rel, payload)?;
         self.stack.wal.append(&WalRecord::IndexInsert { xid: txn.xid, rel, key, value: vid.0 });
-        r.index.insert(key, vid.0)
+        r.index.insert(key, vid.0)?;
+        // The SSI write hook runs once a reader's walk can reach the
+        // version: here after its index record, for updates and deletes
+        // after their VID-map swing.
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn update_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
@@ -559,10 +542,10 @@ impl SiasDb {
         for vid in r.index.lookup(key)? {
             let vid = Vid(vid);
             if self.read_item_inner(txn, rel, vid)?.is_some() {
-                self.ssi_write(txn, rel, key)?;
                 // A non-key update leaves the index untouched (§4.3
                 // Example 2) — the VID map swing is the whole story.
-                return self.modify_item(txn, rel, vid, Some(payload), None);
+                self.modify_item(txn, rel, vid, Some(payload), None)?;
+                return self.txm.ssi_write(txn, rel, key);
             }
         }
         Err(SiasError::KeyNotFound(key))
@@ -573,8 +556,8 @@ impl SiasDb {
         for vid in r.index.lookup(key)? {
             let vid = Vid(vid);
             if self.read_item_inner(txn, rel, vid)?.is_some() {
-                self.ssi_write(txn, rel, key)?;
-                return self.modify_item(txn, rel, vid, None, Some(key));
+                self.modify_item(txn, rel, vid, None, Some(key))?;
+                return self.txm.ssi_write(txn, rel, key);
             }
         }
         Err(SiasError::KeyNotFound(key))
@@ -900,6 +883,16 @@ mod tests {
         vids.into_iter()
             .filter_map(|vid| Some((vid, db.read_item(txn, rel, vid).unwrap()?)))
             .collect()
+    }
+
+    #[test]
+    fn relation_handles_come_in_rel_id_order() {
+        // The nine TPC-C tables: every all-relations pass must visit them
+        // in one order, or page allocation differs from run to run.
+        let db = SiasDb::open(StorageConfig::in_memory());
+        let created: Vec<RelId> = (0..9).map(|i| db.create_relation(&format!("t{i}"))).collect();
+        let visited: Vec<RelId> = db.relation_handles().iter().map(|r| r.rel).collect();
+        assert_eq!(visited, created, "relation ids are allocated ascending");
     }
 
     #[test]

@@ -181,61 +181,36 @@ impl SiDb {
         Ok(None)
     }
 
-    /// SSI read hook (no-op unless serializable mode is on): takes the
-    /// SIREAD mark and reports the creators of *newer* versions the
-    /// snapshot could not see on this key — skipped `xmin`s and a
-    /// visible tuple's concurrent invalidator `xmax`. Each is a
-    /// read-time rw-antidependency the write-path hook cannot observe
-    /// when the write happened before this read.
+    /// SSI read hook: [`TransactionManager::ssi_read`] with this engine's
+    /// walk, which reports the creators of *newer* versions the snapshot
+    /// could not see on `key` — skipped `xmin`s and a visible tuple's
+    /// concurrent invalidator `xmax`. Each is a read-time
+    /// rw-antidependency the write hook cannot see when the write came
+    /// first.
     fn ssi_read(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        if !self.txm.ssi.is_enabled() {
-            return Ok(());
-        }
-        let r = self.relation_handle(rel)?;
-        let mut newer: Vec<Xid> = Vec::new();
-        let mut push = |w: Xid| {
-            if w != txn.xid && self.txm.clog.status(w) != TxnStatus::Aborted && !newer.contains(&w)
-            {
-                newer.push(w);
+        self.txm.ssi_read(txn, rel, key, || {
+            let r = self.relation_handle(rel)?;
+            let clog = &self.txm.clog;
+            let mut newer: Vec<Xid> = Vec::new();
+            for packed in r.index.lookup(key)? {
+                let Some(tid) = Tid::unpack(packed) else { continue };
+                let t = self.fetch_tuple(rel, tid)?;
+                if t.key != key {
+                    continue;
+                }
+                let w = if !txn.snapshot.sees(t.xmin, clog) {
+                    t.xmin // a version created past the snapshot: skipped on read
+                } else if t.xmax.is_valid() && !txn.snapshot.sees(t.xmax, clog) {
+                    t.xmax // the version read here was invalidated past the snapshot
+                } else {
+                    continue;
+                };
+                if w != txn.xid && clog.status(w) != TxnStatus::Aborted && !newer.contains(&w) {
+                    newer.push(w);
+                }
             }
-        };
-        for packed in r.index.lookup(key)? {
-            let Some(tid) = Tid::unpack(packed) else { continue };
-            let t = self.fetch_tuple(rel, tid)?;
-            if t.key != key {
-                continue;
-            }
-            if !txn.snapshot.sees(t.xmin, &self.txm.clog) {
-                // A version created past the snapshot: skipped on read.
-                push(t.xmin);
-            } else if t.xmax.is_valid() && !txn.snapshot.sees(t.xmax, &self.txm.clog) {
-                // The version this snapshot reads was already
-                // invalidated by a concurrent/future writer.
-                push(t.xmax);
-            }
-        }
-        if self.txm.ssi.on_read(txn.xid, rel, key, &newer) == sias_txn::SsiVerdict::MustAbort {
-            self.txm.record_serialization_abort();
-            return Err(SiasError::SerializationFailure(txn.xid));
-        }
-        Ok(())
-    }
-
-    /// SSI write hook: flags rw-antidependencies from concurrent readers
-    /// of `key`; aborts the writer when it becomes a pivot (or when the
-    /// edge would turn an already-committed reader into one).
-    fn ssi_write(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        if self.txm.ssi.is_enabled() {
-            let txm = &self.txm;
-            let verdict = txm.ssi.on_write(txn.xid, rel, key, |r| {
-                txm.is_active(r) || txn.snapshot.is_concurrent(r) || r > txn.xid
-            });
-            if verdict == sias_txn::SsiVerdict::MustAbort {
-                self.txm.record_serialization_abort();
-                return Err(SiasError::SerializationFailure(txn.xid));
-            }
-        }
-        Ok(())
+            Ok(newer)
+        })
     }
 
     // The op bodies live in `*_inner` methods so the `time!` wrappers in
@@ -247,7 +222,6 @@ impl SiDb {
         if self.visible_by_key(txn, &r, key)?.is_some() {
             return Err(SiasError::Index(format!("duplicate key {key}")));
         }
-        self.ssi_write(txn, rel, key)?;
         let row = r.next_row.fetch_add(1, Ordering::Relaxed);
         self.txm.locks.try_lock(rel, Vid(row), txn.xid);
         let t = HeapTuple::new(txn.xid, row, key, Bytes::copy_from_slice(payload));
@@ -266,13 +240,16 @@ impl SiDb {
             key,
             value: tid.pack(),
         });
-        r.index.insert(key, tid.pack())
+        r.index.insert(key, tid.pack())?;
+        // The SSI write hook runs once a reader's walk can reach the
+        // version: after the index insert (and, for updates and deletes,
+        // the in-place invalidation).
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn update_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
         let r = self.relation_handle(rel)?;
         let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
-        self.ssi_write(txn, rel, key)?;
         // First-updater-wins via the row lock, as in PostgreSQL.
         self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
         // Re-validate under the lock: a concurrent winner may have
@@ -306,13 +283,13 @@ impl SiDb {
             key,
             value: new_tid.pack(),
         });
-        r.index.insert(key, new_tid.pack())
+        r.index.insert(key, new_tid.pack())?;
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn delete_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
         let r = self.relation_handle(rel)?;
         let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
-        self.ssi_write(txn, rel, key)?;
         self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
         let current = self.fetch_tuple(rel, tid)?;
         if current.xmax.is_valid()
@@ -322,7 +299,8 @@ impl SiDb {
             self.metrics.write_conflicts.inc();
             return Err(SiasError::WriteConflict { vid: Vid(old.row), winner: current.xmax });
         }
-        self.invalidate_in_place(rel, tid, txn.xid)
+        self.invalidate_in_place(rel, tid, txn.xid)?;
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn get_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<Option<Bytes>> {

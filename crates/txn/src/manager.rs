@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
-use sias_common::{SiasError, SiasResult, Xid};
+use sias_common::{RelId, SiasError, SiasResult, Xid};
 use sias_obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::clog::Clog;
@@ -200,6 +200,51 @@ impl TransactionManager {
     /// [`commit`]: TransactionManager::commit
     pub fn record_serialization_abort(&self) {
         self.aborts_serialization.inc();
+    }
+
+    /// The SSI read hook both engines share (a no-op unless serializable
+    /// mode is on). It publishes the SIREAD mark on `key` *before*
+    /// `skipped` walks for the creators of newer versions the snapshot
+    /// skipped, then flags those read-time rw-antidependencies. The write
+    /// hook checks marks only after its version is reachable, so of a read
+    /// and a write that interleave, either the writer sees the mark or the
+    /// walk sees the version. A rejected read is counted and fails with
+    /// [`SiasError::SerializationFailure`].
+    pub fn ssi_read(
+        &self,
+        txn: &Txn,
+        rel: RelId,
+        key: u64,
+        skipped: impl FnOnce() -> SiasResult<Vec<Xid>>,
+    ) -> SiasResult<()> {
+        if !self.ssi.is_enabled() {
+            return Ok(());
+        }
+        let fresh = self.ssi.mark(txn.xid, rel, key);
+        let newer = skipped()?;
+        if self.ssi.check_read(txn.xid, rel, key, &newer, fresh) == SsiVerdict::MustAbort {
+            self.record_serialization_abort();
+            return Err(SiasError::SerializationFailure(txn.xid));
+        }
+        Ok(())
+    }
+
+    /// The SSI write hook both engines share (a no-op unless serializable
+    /// mode is on). Engines call it once the new version of `key` is
+    /// reachable by a reader's walk; it flags rw-antidependencies from
+    /// concurrent readers of `key` and fails with
+    /// [`SiasError::SerializationFailure`] when the writer becomes a pivot
+    /// (or the edge would turn an already-committed reader into one).
+    pub fn ssi_write(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
+        if !self.ssi.is_enabled() {
+            return Ok(());
+        }
+        let concurrent = |r| self.is_active(r) || txn.snapshot.is_concurrent(r) || r > txn.xid;
+        if self.ssi.on_write(txn.xid, rel, key, concurrent) == SsiVerdict::MustAbort {
+            self.record_serialization_abort();
+            return Err(SiasError::SerializationFailure(txn.xid));
+        }
+        Ok(())
     }
 
     /// Total serialization-failure aborts recorded so far.

@@ -36,6 +36,9 @@ struct Flags {
     out_conflict: bool,
     /// Owner committed (flags kept for lingering edges).
     committed: bool,
+    /// A write of the owner's was rejected after the engine had already
+    /// published its version, so the owner may never commit.
+    doomed: bool,
 }
 
 /// Shared SSI state. Disabled by default; zero overhead when off.
@@ -72,29 +75,54 @@ impl SsiState {
         self.enabled.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Registers a read of `key`. `newer_writers` are the creators of
+    /// Registers a read of `key` in one step: [`SsiState::mark`] then
+    /// [`SsiState::check_read`]. `newer_writers` are the creators of
     /// *newer* versions the reader skipped (its snapshot returned an
     /// older one) — each is a rw-antidependency reader → writer observed
     /// at read time. Every skipped committed version matters: dropping
     /// one loses the edge and admits non-serializable histories.
-    ///
-    /// The reader must abort when the edges make it a pivot, or when they
-    /// would make an already-*committed* writer a pivot (a committed
-    /// transaction can no longer be the victim). A rejected read rolls
-    /// its newly created edges back so the surviving side is not doomed
-    /// by a read that never happened.
     pub fn on_read(&self, reader: Xid, rel: RelId, key: u64, newer_writers: &[Xid]) -> SsiVerdict {
+        let fresh = self.mark(reader, rel, key);
+        self.check_read(reader, rel, key, newer_writers, fresh)
+    }
+
+    /// Publishes `reader`'s SIREAD mark on `key`; true when the mark is
+    /// new. Engines publish *before* they walk for skipped writers, so a
+    /// writer that publishes its version concurrently either finds the
+    /// mark or is found by the walk.
+    pub fn mark(&self, reader: Xid, rel: RelId, key: u64) -> bool {
+        if !self.is_enabled() {
+            return false;
+        }
+        let mut inner = self.inner.lock();
+        let marks = inner.sireads.entry((rel, key)).or_default();
+        let fresh = !marks.contains(&reader);
+        if fresh {
+            marks.push(reader);
+        }
+        fresh
+    }
+
+    /// Flags the read-time edges of a read whose mark is published (see
+    /// [`SsiState::on_read`] for `newer_writers`). The reader must abort
+    /// when the edges make it a pivot, or when they would make an
+    /// already-*committed* writer a pivot (a committed transaction can no
+    /// longer be the victim). A rejected read rolls its newly created
+    /// edges back — and its mark, when `fresh_mark` says the read took it
+    /// — so the surviving side is not doomed by a read that never
+    /// happened.
+    pub fn check_read(
+        &self,
+        reader: Xid,
+        rel: RelId,
+        key: u64,
+        newer_writers: &[Xid],
+        fresh_mark: bool,
+    ) -> SsiVerdict {
         if !self.is_enabled() {
             return SsiVerdict::Ok;
         }
         let mut inner = self.inner.lock();
-        let marks = inner.sireads.entry((rel, key)).or_default();
-        let mark_added = if marks.contains(&reader) {
-            false
-        } else {
-            marks.push(reader);
-            true
-        };
         let mut reader_must_abort = false;
         let mut newly_set: Vec<(Xid, bool)> = Vec::new(); // (xid, was_out_edge)
         for &w in newer_writers {
@@ -130,7 +158,7 @@ impl SsiState {
                     }
                 }
             }
-            if mark_added {
+            if fresh_mark {
                 if let Some(marks) = inner.sireads.get_mut(&(rel, key)) {
                     marks.retain(|&r| r != reader);
                     if marks.is_empty() {
@@ -148,6 +176,9 @@ impl SsiState {
     /// from every *other* transaction holding a SIREAD mark on the key.
     /// `concurrent_with` decides whether an edge is relevant (the reader
     /// is still active, or committed while overlapping the writer).
+    /// Engines call it only once the new version is reachable by a
+    /// reader's walk — the writer's half of [`SsiState::mark`]'s
+    /// publish-then-check order.
     pub fn on_write(
         &self,
         writer: Xid,
@@ -200,20 +231,24 @@ impl SsiState {
                     }
                 }
             }
+            // The rejected version is already in the chain until the
+            // writer aborts: committing it anyway must fail too.
+            inner.flags.entry(writer).or_default().doomed = true;
             SsiVerdict::MustAbort
         } else {
             SsiVerdict::Ok
         }
     }
 
-    /// Commit-time check: a pivot (both flags) must abort instead.
+    /// Commit-time check: a pivot (both flags), or a writer whose write
+    /// was rejected, must abort instead.
     pub fn can_commit(&self, xid: Xid) -> SsiVerdict {
         if !self.is_enabled() {
             return SsiVerdict::Ok;
         }
         let mut inner = self.inner.lock();
         let f = inner.flags.entry(xid).or_default();
-        if f.in_conflict && f.out_conflict {
+        if f.doomed || (f.in_conflict && f.out_conflict) {
             SsiVerdict::MustAbort
         } else {
             f.committed = true;
@@ -328,6 +363,21 @@ mod tests {
         // survivor T1 commits — exactly one victim.
         assert_eq!(s.on_write(t2, R, 0, |_| true), SsiVerdict::MustAbort);
         assert_eq!(s.can_commit(t1), SsiVerdict::Ok);
+    }
+
+    #[test]
+    fn rejected_write_dooms_the_writer() {
+        // Engines check a write after its version is reachable, so a
+        // writer that ignores the rejection and commits must still fail:
+        // its rolled-back in-edge no longer marks it a pivot.
+        let s = enabled();
+        let (t1, t2) = (Xid(1), Xid(2));
+        s.on_read(t1, R, 0, &[]);
+        s.on_read(t2, R, 1, &[]);
+        assert_eq!(s.on_write(t1, R, 1, |_| true), SsiVerdict::Ok);
+        assert_eq!(s.on_write(t2, R, 0, |_| true), SsiVerdict::MustAbort);
+        assert_eq!(s.can_commit(t2), SsiVerdict::MustAbort, "the rejected writer cannot commit");
+        assert_eq!(s.can_commit(t1), SsiVerdict::Ok, "the survivor still commits");
     }
 
     #[test]

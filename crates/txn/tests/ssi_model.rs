@@ -7,9 +7,9 @@
 //! * reads walk the version chain newest-first and hand every skipped
 //!   non-aborted creator to [`SsiState::on_read`] (the read-time
 //!   rw-antidependency edges);
-//! * writes call [`SsiState::on_write`] with the engines' concurrency
-//!   closure *before* the first-updater-wins check, exactly like
-//!   `update_inner`;
+//! * writes pass the first-updater-wins check, append their version to
+//!   the chain, and only then call [`SsiState::on_write`] with the
+//!   engines' concurrency closure, exactly like `update_inner`;
 //! * commits run the pre-WAL [`SsiState::can_commit`] pivot check and
 //!   then garbage-collect below the manager's xmin horizon;
 //! * aborts forget all SSI state of the victim.
@@ -183,31 +183,31 @@ impl World {
         self.txns[i].as_mut().unwrap().ops.push(HistOp::Read { key, observed });
     }
 
-    /// A write: SSI edges from SIREAD marks first (engine `update_inner`
-    /// order), then first-updater-wins against the newest version.
+    /// A write: first-updater-wins against the newest version, then the
+    /// version joins the chain, then SSI edges from SIREAD marks (engine
+    /// `update_inner` order: publish, then check).
     fn write(&mut self, i: usize, key: u64) {
         let (xid, snapshot) = {
             let t = self.txns[i].as_ref().unwrap();
             (t.xid, t.snapshot.clone())
         };
-        let verdict = self.ssi.on_write(xid, REL, key, |r| {
-            self.active(r) || (self.committed(r) && !snapshot.contains(&r))
-        });
-        if verdict == SsiVerdict::MustAbort {
-            self.abort(i, true);
-            return;
-        }
         if let Some(&c) = self.chains[&key].last() {
             if c != xid && c != SETUP && (self.active(c) || !snapshot.contains(&c)) {
                 // First-updater-wins: the later writer dies. Not an SSI
-                // abort — but the edges its on_write just created stay,
-                // exactly like the engine (forget only clears the
-                // victim's own flags).
+                // abort, and it never reaches the SSI hook.
                 self.abort(i, false);
                 return;
             }
         }
         self.chains.get_mut(&key).unwrap().push(xid);
+        let verdict = self.ssi.on_write(xid, REL, key, |r| {
+            self.active(r) || (self.committed(r) && !snapshot.contains(&r))
+        });
+        if verdict == SsiVerdict::MustAbort {
+            // The abort takes the published version back out of the chain.
+            self.abort(i, true);
+            return;
+        }
         self.txns[i].as_mut().unwrap().ops.push(HistOp::Write { key });
     }
 

@@ -5,7 +5,8 @@
 //!
 //! * [`schema`] — the nine TPC-C tables with compact fixed layouts;
 //! * [`keys`] — composite-key packing into the engines' `u64` keys;
-//! * [`random`] — uniform + NURand skew;
+//! * [`random`] — uniform + NURand skew, and the splitmix64 stream of
+//!   the seeded harnesses;
 //! * [`config`] — scale parameters (warehouses, scaled cardinalities);
 //! * [`loader`] — initial population;
 //! * [`txns`] — the five transaction profiles at the standard mix;
@@ -13,10 +14,10 @@
 //!   NOTPM and response times;
 //! * [`check`] — TPC-C consistency conditions plus a black-box
 //!   SI-anomaly and durability checker;
-//! * [`chaos`] — deterministic fault-injection harness: a seeded
-//!   multi-terminal workload over tagged keys, crashed at every Nth
-//!   WAL-record boundary and recovered, with the pre-crash history fed
-//!   to the checker;
+//! * [`chaos`] — deterministic fault-injection harness: one seeded
+//!   session over tagged keys per [`Scenario`] (crash sweep, bit rot plus
+//!   scrub, GC crash point, write skew, full WAL quota), with the history
+//!   fed to the checker and one gate per scenario;
 //! * [`threaded`] — real OS-thread driver over one shared engine,
 //!   measuring wall-clock multi-core throughput and producing merged
 //!   checker-compatible histories.
@@ -38,11 +39,7 @@ pub mod schema;
 pub mod threaded;
 pub mod txns;
 
-pub use chaos::{
-    crash_matrix, enospc_scenario, gc_crash_scenario, run_chaos, scrub_scenario,
-    write_skew_scenario, ChaosConfig, ChaosRun, CrashMatrixReport, EnospcReport, GcCrashReport,
-    ScrubReport, WriteSkewReport,
-};
+pub use chaos::{ChaosConfig, ChaosReport, Scenario};
 pub use check::{
     check_anomalies, check_consistency, check_durability, check_serializability, DurabilityInput,
     History, Violation, WriteTag,

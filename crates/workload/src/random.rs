@@ -1,7 +1,47 @@
-//! TPC-C randomness: uniform helpers and the NURand skew function.
+//! Workload randomness: the TPC-C uniform helpers and NURand skew
+//! function, plus the splitmix64 stream behind every seeded harness.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+
+/// splitmix64: the one seeded stream of the chaos harness, the threaded
+/// driver and the overload bench. It yields the same sequence on every
+/// platform, so a seed names one run.
+#[derive(Clone, Debug)]
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    /// The next 64-bit output.
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// True with probability `ppm` parts per million.
+    pub fn chance_ppm(&mut self, ppm: u32) -> bool {
+        self.next_u64() % 1_000_000 < u64::from(ppm)
+    }
+
+    /// Zipf(s=1) sample over `0..n`: rank `i` drawn with probability
+    /// ∝ 1/(i+1). Fixed-point cumulative walk — deterministic, no
+    /// floats, meant for small `n` (constraint-pair counts).
+    pub fn zipf(&mut self, n: u64) -> u64 {
+        let n = n.max(1);
+        let total: u64 = (1..=n).map(|i| 1_000_000 / i).sum();
+        let mut r = self.next_u64() % total.max(1);
+        for i in 0..n {
+            let w = 1_000_000 / (i + 1);
+            if r < w {
+                return i;
+            }
+            r -= w;
+        }
+        n - 1
+    }
+}
 
 /// The non-uniform random function of TPC-C §2.1.6:
 /// `NURand(A, x, y) = (((rand(0,A) | rand(x,y)) + C) % (y - x + 1)) + x`.

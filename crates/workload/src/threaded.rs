@@ -26,6 +26,7 @@ use sias_core::{MaintenanceConfig, MaintenanceScheduler, MaintenanceTotals, Sias
 use sias_txn::MvccEngine;
 
 use crate::check::{HistOp, HistOutcome, History, TxnRecord, WriteTag};
+use crate::random::SplitMix64;
 
 /// Parameters of one threaded run. The same config and seed produce the
 /// same *per-thread* operation streams; the cross-thread interleaving is
@@ -104,41 +105,6 @@ impl ThreadedRun {
     }
 }
 
-/// splitmix64 — same generator as the chaos harness, one stream per
-/// thread.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn chance_ppm(&mut self, ppm: u32) -> bool {
-        self.next() % 1_000_000 < u64::from(ppm)
-    }
-
-    /// Zipf(s=1) sample over `0..n`: rank `i` drawn with probability
-    /// ∝ 1/(i+1). Fixed-point cumulative walk — deterministic, no
-    /// floats, n is small (constraint-pair counts).
-    fn zipf(&mut self, n: u64) -> u64 {
-        let n = n.max(1);
-        let total: u64 = (1..=n).map(|i| 1_000_000 / i).sum();
-        let mut r = self.next() % total.max(1);
-        for i in 0..n {
-            let w = 1_000_000 / (i + 1);
-            if r < w {
-                return i;
-            }
-            r -= w;
-        }
-        n - 1
-    }
-}
-
 /// Runs `cfg.threads` OS threads of read-modify-write transactions over
 /// the shared engine's `"threaded"` relation and returns the merged
 /// history plus throughput counters. Works against any [`MvccEngine`];
@@ -188,7 +154,8 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
                 let commit_seq = &commit_seq;
                 let commit_lat = commit_lat.clone();
                 scope.spawn(move || {
-                    let mut rng = Rng(cfg.seed ^ (ti as u64).wrapping_mul(0xa076_1d64_78bd_642f));
+                    let mut rng =
+                        SplitMix64(cfg.seed ^ (ti as u64).wrapping_mul(0xa076_1d64_78bd_642f));
                     let mut records = Vec::with_capacity(cfg.txns_per_thread);
                     let (mut committed, mut aborted, mut conflicts) = (0u64, 0u64, 0u64);
                     barrier.wait();
@@ -210,10 +177,10 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
                             let (reads, write_key) = if cfg.constraint_pairs && keys >= 2 {
                                 let p = rng.zipf(keys / 2);
                                 let (k0, k1) = (2 * p, 2 * p + 1);
-                                let wk = if rng.next().is_multiple_of(2) { k0 } else { k1 };
+                                let wk = if rng.next_u64().is_multiple_of(2) { k0 } else { k1 };
                                 (vec![k0, k1], wk)
                             } else {
-                                let key = rng.next() % keys;
+                                let key = rng.next_u64() % keys;
                                 (vec![key], key)
                             };
                             for key in reads {
@@ -234,7 +201,7 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
                                 };
                                 rec.ops.push(HistOp::Read { key, observed });
                             }
-                            if rng.next() % 100 >= u64::from(cfg.update_pct) {
+                            if rng.next_u64() % 100 >= u64::from(cfg.update_pct) {
                                 continue;
                             }
                             let txn = alive.as_ref().expect("txn alive in op loop");

@@ -12,29 +12,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use sias_common::Xid;
 use sias_workload::check::{HistOp, HistOutcome, TxnRecord};
+use sias_workload::random::SplitMix64;
 use sias_workload::{
     check_anomalies, check_durability, check_serializability, DurabilityInput, History, WriteTag,
 };
-
-/// splitmix64, so generated histories are reproducible per case.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// Builds a serial (and therefore anomaly-free) history: one setup
 /// transaction inserts every key, then each transaction reads current
 /// values and sometimes overwrites them, committing or aborting
 /// atomically. Returns the history and the final committed tag per key.
 fn clean_history(seed: u64, txns: u64, keys: u64) -> (History, BTreeMap<u64, WriteTag>) {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64(seed);
     let mut h = History::default();
     let mut current: BTreeMap<u64, WriteTag> = BTreeMap::new();
     let mut acked = 0u64;
@@ -58,12 +46,12 @@ fn clean_history(seed: u64, txns: u64, keys: u64) -> (History, BTreeMap<u64, Wri
 
     for i in 0..txns {
         let xid = Xid(i + 2);
-        let aborts = rng.next().is_multiple_of(5);
+        let aborts = rng.next_u64().is_multiple_of(5);
         let mut ops = Vec::new();
         let mut staged: Vec<(u64, WriteTag)> = Vec::new();
         let mut seq = 0u32;
-        for _ in 0..(1 + rng.next() % 3) {
-            let k = rng.next() % keys;
+        for _ in 0..(1 + rng.next_u64() % 3) {
+            let k = rng.next_u64() % keys;
             // Reads see committed state plus this txn's own staged writes.
             let observed = staged
                 .iter()
@@ -72,7 +60,7 @@ fn clean_history(seed: u64, txns: u64, keys: u64) -> (History, BTreeMap<u64, Wri
                 .map(|(_, t)| *t)
                 .or(current.get(&k).copied());
             ops.push(HistOp::Read { key: k, observed });
-            if rng.next().is_multiple_of(2) {
+            if rng.next_u64().is_multiple_of(2) {
                 let tag = WriteTag { xid, seq };
                 seq += 1;
                 ops.push(HistOp::Write { key: k, tag });
