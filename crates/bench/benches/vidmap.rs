@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::hint::black_box;
 
 fn populated(n: u64) -> VidMap {
-    let m = VidMap::new();
+    let m = VidMap::new(Default::default());
     for _ in 0..n {
         let v = m.allocate_vid();
         m.set(v, Tid::new(v.0 as u32, (v.0 % 64) as u16));
@@ -54,7 +54,7 @@ fn bench_update(c: &mut Criterion) {
 
 fn bench_insert(c: &mut Criterion) {
     c.bench_function("vidmap_allocate_and_set", |b| {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         b.iter(|| {
             let v = m.allocate_vid();
             m.set(v, Tid::new(v.0 as u32, 0));

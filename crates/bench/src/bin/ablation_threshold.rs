@@ -34,18 +34,16 @@ fn run(
     let cfg = TpccConfig::scaled(wh);
     let tables = load(&db, &cfg).expect("load");
     db.maintenance(true);
-    db.stack().data.reset_stats();
-    db.stack().trace.clear();
-    db.stack().trace.enable();
+    let (device_before, metrics_before) = (db.stack().data.stats(), db.metrics_snapshot());
     let mut dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
     dcfg.bgwriter_interval_ms = bg_ms;
     run_benchmark(&db, &tables, &cfg, &dcfg, &db.stack().clock).expect("bench");
-    db.stack().trace.disable();
     let space: u64 = {
         let space = &db.stack().space;
         space.relations().iter().map(|&r| space.relation_blocks(r) as u64).sum()
     };
-    (db.stack().trace.summary().write_mb, space, db.metrics_snapshot())
+    let written = (db.stack().data.stats() - device_before).host_write_mb();
+    (written, space, db.metrics_snapshot().since(&metrics_before))
 }
 
 fn main() {

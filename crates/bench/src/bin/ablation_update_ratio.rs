@@ -20,8 +20,8 @@ use sias_bench::{arg_value, build, write_results, EngineKind, ObsArgs, Testbed};
 use sias_obs::MetricsSnapshot;
 
 /// Runs `ops` point operations with the given update share; returns the
-/// data-device write volume (MiB) of the measured phase plus the
-/// engine's metrics snapshot.
+/// data-device write volume (MiB) and the engine's metrics over the
+/// measured phase.
 fn run(kind: EngineKind, items: u64, ops: u64, update_pct: u32) -> (f64, MetricsSnapshot) {
     let any = build(kind, Testbed::Ssd, 1024);
     let engine = any.engine();
@@ -34,7 +34,7 @@ fn run(kind: EngineKind, items: u64, ops: u64, update_pct: u32) -> (f64, Metrics
     engine.commit(t).unwrap();
     engine.maintenance(true);
     let stack = any.stack();
-    stack.data.reset_stats();
+    let (device_before, metrics_before) = (stack.data.stats(), engine.metrics_snapshot());
     let mut rng = StdRng::seed_from_u64(7 + update_pct as u64);
     let mut since_tick = 0u64;
     for _ in 0..ops {
@@ -55,7 +55,8 @@ fn run(kind: EngineKind, items: u64, ops: u64, update_pct: u32) -> (f64, Metrics
         }
     }
     engine.maintenance(true);
-    (stack.data.stats().host_write_mb(), engine.metrics_snapshot())
+    let written = (stack.data.stats() - device_before).host_write_mb();
+    (written, engine.metrics_snapshot().since(&metrics_before))
 }
 
 fn main() {

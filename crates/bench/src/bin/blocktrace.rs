@@ -6,7 +6,9 @@
 //! access is mixed", writes scattered over the whole relation.
 //!
 //! Emits the scatter data as CSV (`time_s,device,lba,pages,dir`) and
-//! prints pattern statistics that quantify the visual difference.
+//! prints pattern statistics that quantify the visual difference. Op
+//! counts and volumes are the device counters over the run; the trace
+//! ring is the window the scatter and the locality lines come from.
 //!
 //! ```text
 //! cargo run --release -p sias-bench --bin blocktrace [-- --engine sias|si --wh 50 --duration 300]
@@ -28,7 +30,7 @@ fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnap
     let tables = load(engine, &cfg).expect("load");
     engine.maintenance(true);
     let stack = any.stack();
-    stack.data.reset_stats();
+    let (device_before, metrics_before) = (stack.data.stats(), engine.metrics_snapshot());
     stack.trace.clear();
     stack.trace.enable();
     let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
@@ -36,8 +38,9 @@ fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnap
     stack.trace.disable();
 
     let events = stack.trace.events();
-    let summary = stack.trace.summary();
-    let total_ops = (summary.read_ops + summary.write_ops) as f64;
+    let device = stack.data.stats() - device_before;
+    let (reads, writes_total) = (device.host_read_pages, device.host_write_pages);
+    let total_ops = (reads + writes_total) as f64;
     let write_lbas: BTreeSet<u64> =
         events.iter().filter(|e| e.dir == IoDir::Write).map(|e| e.lba).collect();
     let read_lbas: BTreeSet<u64> =
@@ -61,12 +64,16 @@ fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnap
     println!("NOTPM {:.0}", bench.notpm);
     println!(
         "ops: {} reads ({:.1}%), {} writes ({:.1}%)",
-        summary.read_ops,
-        100.0 * summary.read_ops as f64 / total_ops,
-        summary.write_ops,
-        100.0 * summary.write_ops as f64 / total_ops
+        reads,
+        100.0 * reads as f64 / total_ops,
+        writes_total,
+        100.0 * writes_total as f64 / total_ops
     );
-    println!("volume: {:.1} MB read, {:.1} MB written", summary.read_mb, summary.write_mb);
+    println!(
+        "volume: {:.1} MB read, {:.1} MB written",
+        device.host_read_mb(),
+        device.host_write_mb()
+    );
     println!(
         "write locality: {} write ops over {} distinct LBAs — {:.2} writes/page",
         writes.len(),
@@ -76,7 +83,7 @@ fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnap
     println!("read spread: {} distinct LBAs", read_lbas.len());
     let path = write_results(&format!("{figure}.csv"), &stack.trace.to_csv());
     println!("wrote {}\n", path.display());
-    engine.metrics_snapshot()
+    engine.metrics_snapshot().since(&metrics_before)
 }
 
 fn main() {

@@ -16,12 +16,9 @@
 //! cargo run --release -p sias-bench --bin endurance [-- --wh 20 --duration 300]
 //! ```
 
-use sias_bench::{arg_value, write_results, EngineKind, ObsArgs};
-use sias_core::{FlushPolicy, SiasDb};
+use sias_bench::{arg_value, build_on, write_results, EngineKind, ObsArgs};
 use sias_obs::MetricsSnapshot;
-use sias_si::SiDb;
 use sias_storage::{DeviceStats, FlashConfig, Media, StorageConfig};
-use sias_txn::MvccEngine;
 use sias_workload::{load, run_benchmark, DriverConfig, TpccConfig};
 
 fn small_ssd() -> StorageConfig {
@@ -49,31 +46,17 @@ fn small_ssd() -> StorageConfig {
     }
 }
 
+/// Device and engine counters over the measured interval.
 fn run(kind: EngineKind, wh: u32, duration: u64) -> (DeviceStats, MetricsSnapshot) {
-    let storage = small_ssd();
-    match kind {
-        EngineKind::Si => {
-            let db = SiDb::open(storage);
-            let cfg = TpccConfig::scaled(wh);
-            let tables = load(&db, &cfg).expect("load");
-            db.maintenance(true);
-            db.stack().data.reset_stats();
-            let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
-            run_benchmark(&db, &tables, &cfg, &dcfg, &db.stack().clock).expect("bench");
-            (db.stack().data.stats(), db.metrics_snapshot())
-        }
-        _ => {
-            let policy = if kind == EngineKind::SiasT1 { FlushPolicy::T1 } else { FlushPolicy::T2 };
-            let db = SiasDb::open_with_policy(storage, policy);
-            let cfg = TpccConfig::scaled(wh);
-            let tables = load(&db, &cfg).expect("load");
-            db.maintenance(true);
-            db.stack().data.reset_stats();
-            let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
-            run_benchmark(&db, &tables, &cfg, &dcfg, &db.stack().clock).expect("bench");
-            (db.stack().data.stats(), db.metrics_snapshot())
-        }
-    }
+    let any = build_on(kind, small_ssd());
+    let (db, stack) = (any.engine(), any.stack());
+    let cfg = TpccConfig::scaled(wh);
+    let tables = load(db, &cfg).expect("load");
+    db.maintenance(true);
+    let (device_before, metrics_before) = (stack.data.stats(), db.metrics_snapshot());
+    let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
+    run_benchmark(db, &tables, &cfg, &dcfg, &stack.clock).expect("bench");
+    (stack.data.stats() - device_before, db.metrics_snapshot().since(&metrics_before))
 }
 
 fn main() {

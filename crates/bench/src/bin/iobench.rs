@@ -11,9 +11,10 @@
 //!    ≥ 1.5× the blocking path at queue depth ≥ 8 — worker threads
 //!    overlap genuine device waits, so this holds even on one core.
 //! 2. **Stripe sweep**: the same cold scan over 1-wide vs N-wide
-//!    [`StripedDevice`] sets at equal **per-member** depth (per-device
-//!    NCQ framing, as the paper's per-SSD queues). Asserts 2-stripe
-//!    beats 1-stripe at per-member depth 1.
+//!    file stripes ([`FileDevice::open_stripe`], a `Raid0` over files)
+//!    at equal **per-member** depth (per-device NCQ framing, as the
+//!    paper's per-SSD queues). Asserts 2-stripe beats 1-stripe at
+//!    per-member depth 1.
 //! 3. **Recovery byte-identity**: the same seeded workload runs on an
 //!    in-memory stack and a file-backed stack; both checkpoint, the
 //!    file image is reopened, the WAL is scanned and replayed, and
@@ -35,9 +36,7 @@ use std::time::Instant;
 use sias_bench::{arg_value, write_results};
 use sias_common::{RelId, PAGE_SIZE};
 use sias_core::{FlushPolicy, SiasDb};
-use sias_storage::{
-    Device, DeviceRef, FileDevice, IoOp, IoQueue, StorageConfig, StripedDevice, Wal,
-};
+use sias_storage::{Device, DeviceRef, FileDevice, IoOp, IoQueue, StorageConfig, Wal};
 use sias_txn::MvccEngine;
 
 /// Deterministic page-fill pattern (also the read-back check).
@@ -115,7 +114,7 @@ fn open_striped(dir: &std::path::Path, tag: &str, width: usize, pages: u64) -> D
         Arc::new(FileDevice::standalone(&paths[0], pages).expect("open file"))
     } else {
         Arc::new(
-            StripedDevice::open_files(&paths, pages, sias_storage::device::DeviceEnv::fresh())
+            FileDevice::open_stripe(&paths, pages, sias_storage::device::DeviceEnv::fresh())
                 .expect("open stripe"),
         )
     };

@@ -79,9 +79,9 @@ fn run_cell(
     throttle: Option<u64>,
     tcfg: &ThreadedConfig,
 ) -> (Cell, sias_obs::MetricsSnapshot) {
-    // A fresh engine per cell: the commit-latency histogram and the
-    // storage.gc.* counters live on the engine's registry, so reusing a
-    // db would smear cells together.
+    // A fresh engine per cell: the commit-latency histogram and the GC
+    // counters live on the engine's registry, so reusing a db would
+    // smear cells together.
     let db = Arc::new(SiasDb::open(storage_cfg()));
     let (run, totals) = match throttle {
         None => (drive_threaded(db.as_ref(), tcfg), None),
@@ -96,7 +96,7 @@ fn run_cell(
     let snap = db.metrics_snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     let wall = run.wall.as_secs_f64();
-    let reclaimed = c("storage.gc.pages_reclaimed");
+    let reclaimed = c("core.gc.pages_reclaimed");
     let cell = Cell {
         label,
         pages_per_sec: throttle,
@@ -108,10 +108,10 @@ fn run_cell(
         p50_us: hist.quantile(0.50) as f64 / 1_000.0,
         p99_us: hist.quantile(0.99) as f64 / 1_000.0,
         p999_us: hist.quantile(0.999) as f64 / 1_000.0,
-        gc_pages_examined: c("storage.gc.slice_pages"),
+        gc_pages_examined: c("core.gc.pages_examined"),
         gc_pages_reclaimed: reclaimed,
-        gc_versions_relocated: c("storage.gc.versions_relocated"),
-        scrub_blocks: c("storage.scrub.slice_blocks"),
+        gc_versions_relocated: c("core.gc.versions_relocated"),
+        scrub_blocks: c("storage.scrub.scanned"),
         paced_ckpts: c("storage.ckpt.paced_runs"),
         reclaimed_pages_per_sec: if wall > 0.0 { reclaimed as f64 / wall } else { 0.0 },
         maint_ticks: totals.map(|t| t.ticks).unwrap_or(0),

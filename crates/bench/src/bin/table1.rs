@@ -3,7 +3,9 @@
 //! Paper setup: TPC-C at 100 warehouses on SSD, `blkparse` write totals
 //! over 600 / 900 / 1800-second runs, for SI, SIAS with threshold t1
 //! (background-writer default) and SIAS with threshold t2 (checkpoint
-//! piggy-back). Paper values: t1 ≈ 65 % reduction, t2 ≈ 97 %.
+//! piggy-back). Paper values: t1 ≈ 65 % reduction, t2 ≈ 97 %. The write
+//! amount is the data device's host pages over the measured interval
+//! (`storage.device.host_write_pages`).
 //!
 //! ```text
 //! cargo run --release -p sias-bench --bin table1 [-- --wh 50 --pool 1024 --durations 600,900,1800]
@@ -40,7 +42,8 @@ fn main() {
         mruns.push((format!("SI/{secs}s"), si.metrics.clone()));
         mruns.push((format!("SIAS-t1/{secs}s"), t1.metrics.clone()));
         mruns.push((format!("SIAS-t2/{secs}s"), t2.metrics.clone()));
-        let (si_mb, t1_mb, t2_mb) = (si.trace.write_mb, t1.trace.write_mb, t2.trace.write_mb);
+        let (si_mb, t1_mb, t2_mb) =
+            (si.device.host_write_mb(), t1.device.host_write_mb(), t2.device.host_write_mb());
         let red = |x: f64| if si_mb > 0.0 { 100.0 * (1.0 - x / si_mb) } else { 0.0 };
         println!(
             "{:>9} {:>10.1} {:>10.1} {:>10.1} {:>7.0}% {:>7.0}%",

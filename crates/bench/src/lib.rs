@@ -3,8 +3,9 @@
 //! Each table/figure of the paper has a binary in `src/bin/` that calls
 //! into the helpers here: build an engine on a modelled testbed, load
 //! TPC-C at a warehouse scale, run the measured interval, and report the
-//! paper's metrics (NOTPM, response times, device write volume, trace
-//! summaries).
+//! paper's metrics (NOTPM, response times, device write volume). A
+//! measured interval is always a before/after diff of the device
+//! counters and the registry snapshot: nothing is reset.
 //!
 //! Testbed presets (scaled-down; see EXPERIMENTS.md for the calibration
 //! rationale):
@@ -21,7 +22,7 @@
 use sias_core::{FlushPolicy, SiasDb};
 use sias_obs::{export, MetricsSnapshot, TimeSeries, TraceEvent};
 use sias_si::SiDb;
-use sias_storage::{DeviceStats, StorageConfig, TraceSummary};
+use sias_storage::{DeviceStats, StorageConfig};
 use sias_txn::MvccEngine;
 use sias_workload::{
     check_consistency, load, run_benchmark, BenchResult, DriverConfig, TpccConfig,
@@ -238,15 +239,13 @@ pub struct CellResult {
     pub bench: BenchResult,
     /// Data-device counters over the measured interval.
     pub device: DeviceStats,
-    /// Data-device trace summary over the measured interval.
-    pub trace: TraceSummary,
     /// Relation pages allocated at the end (space consumption).
     pub space_pages: u64,
     /// Consistency violations found post-run (must be 0).
     pub violations: usize,
-    /// Full metrics snapshot of the engine's registry at the end of the
-    /// measured interval (before the consistency sweep, whose reads would
-    /// perturb the counters).
+    /// The engine's registry over the measured interval (a
+    /// [`MetricsSnapshot::since`] diff, taken before the consistency
+    /// sweep, whose reads would perturb the counters).
     pub metrics: MetricsSnapshot,
 }
 
@@ -299,29 +298,24 @@ pub fn run_cell(
     let engine = any.engine();
     let cfg = TpccConfig::scaled(warehouses);
     let tables = load(engine, &cfg).expect("load");
-    // Settle the load phase: checkpoint, then reset all counters so only
-    // the measured interval is reported (the paper traces the benchmark
-    // run, not the data generation).
+    // Settle the load phase with a checkpoint, then report only the
+    // measured interval (the paper measures the benchmark run, not the
+    // data generation).
     engine.maintenance(true);
     let stack = any.stack();
-    stack.data.reset_stats();
-    stack.pool.reset_stats();
-    stack.trace.clear();
-    stack.trace.enable();
+    let (device_before, metrics_before) = (stack.data.stats(), engine.metrics_snapshot());
 
     let dcfg = DriverConfig::for_warehouses(warehouses).with_duration(duration_secs);
     let bench = run_benchmark(engine, &tables, &cfg, &dcfg, &stack.clock).expect("benchmark");
 
-    stack.trace.disable();
-    let device = stack.data.stats();
-    let trace = stack.trace.summary();
-    let metrics = engine.metrics_snapshot();
+    let device = stack.data.stats() - device_before;
+    let metrics = engine.metrics_snapshot().since(&metrics_before);
     let space_pages: u64 = {
         let space = &stack.space;
         space.relations().iter().map(|&r| space.relation_blocks(r) as u64).sum()
     };
     let violations = check_consistency(engine, &tables, &cfg).expect("check").len();
-    CellResult { engine: kind, bench, device, trace, space_pages, violations, metrics }
+    CellResult { engine: kind, bench, device, space_pages, violations, metrics }
 }
 
 /// Writes `contents` into `results/<name>` (creating the directory),

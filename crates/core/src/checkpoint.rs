@@ -61,7 +61,6 @@ impl SiasDb {
     /// after the redo point. Ticks `storage.ckpt.*` and
     /// `storage.wal.truncated_bytes`.
     pub fn checkpoint(&self) -> SiasResult<CheckpointStats> {
-        let obs = &self.stack.obs;
         let mut span = self.metrics.tracer.span(SpanName::CkptRun);
         // (1) Fuzzy begin: capture the redo point before flushing
         // anything. Every record at or after these watermarks may
@@ -83,8 +82,8 @@ impl SiasDb {
         self.stack.wal.force()?;
         // (5) Everything below the redo point is now recyclable.
         let wal_bytes_truncated = self.stack.wal.truncate_before(redo_lsn);
-        obs.counter("storage.ckpt.runs").inc();
-        obs.counter("storage.ckpt.pages_flushed").add(pages_flushed);
+        self.metrics.ckpt_runs.inc();
+        self.metrics.ckpt_pages_flushed.add(pages_flushed);
         span.set_arg(pages_flushed);
         // Reset the pacing watermark: WAL volume since *any* checkpoint
         // (explicit or paced) is what drives the next paced one.
@@ -108,18 +107,18 @@ impl SiasDb {
     /// `Ok(None)` when below the pacing threshold. Ticks
     /// `storage.ckpt.paced_*`.
     pub fn maybe_checkpoint(&self, wal_bytes: u64) -> SiasResult<Option<CheckpointStats>> {
-        let obs = &self.stack.obs;
+        let m = &self.metrics;
         let current = self.stack.wal.current_lsn();
         let last = self.maint.last_ckpt_lsn.load(std::sync::atomic::Ordering::Acquire);
         if current.saturating_sub(last) < wal_bytes {
-            obs.counter("storage.ckpt.paced_skipped").inc();
+            m.ckpt_paced_skipped.inc();
             return Ok(None);
         }
         let mut span = self.metrics.tracer.span(SpanName::CkptPaced);
         let stats = self.checkpoint()?;
         span.set_arg(stats.pages_flushed);
-        obs.counter("storage.ckpt.paced_runs").inc();
-        obs.counter("storage.ckpt.paced_pages").add(stats.pages_flushed);
+        m.ckpt_paced_runs.inc();
+        m.ckpt_paced_pages.add(stats.pages_flushed);
         Ok(Some(stats))
     }
 }
@@ -192,7 +191,9 @@ mod tests {
         }
         db.commit(t).unwrap();
         db.checkpoint().unwrap();
-        let restored = crate::VidMap::load_from(&db.stack().pool, RelId(rel.0 + 2)).unwrap();
+        let restored =
+            crate::VidMap::load_from(&db.stack().pool, RelId(rel.0 + 2), Default::default())
+                .unwrap();
         let r = db.relation_handle(rel).unwrap();
         assert_eq!(restored.vid_bound(), r.vidmap.vid_bound());
         for i in 0..100u64 {

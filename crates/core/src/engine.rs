@@ -23,7 +23,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_index::BPlusTree;
-use sias_obs::{time, MetricsSnapshot, Registry, SpanName};
+use sias_obs::{time, Registry, SpanName};
 use sias_storage::{BufferPool, StorageConfig, StorageStack, WalRecord};
 use sias_txn::{Clog, EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn, TxnStatus};
 
@@ -33,7 +33,7 @@ use crate::chain::{fetch_version, skipped_newer_writers, visible_version, visibl
 use crate::maintenance::MaintState;
 use crate::scanpool::ScanPool;
 use crate::version::TupleVersion;
-use crate::vidmap::VidMap;
+use crate::vidmap::{VidMap, VidMapCounters};
 
 /// Upper bound on shared scan workers (§4.2.1 parallel access path).
 const MAX_SCAN_WORKERS: usize = 16;
@@ -89,7 +89,7 @@ impl SiasDb {
         let stack = StorageStack::new(&cfg);
         let txm = Arc::new(TransactionManager::with_registry(&stack.obs));
         let metrics = Arc::new(EngineMetrics::register(&stack.obs));
-        let scan_pool = ScanPool::with_registry(MAX_SCAN_WORKERS, &stack.obs);
+        let scan_pool = ScanPool::new(MAX_SCAN_WORKERS, Arc::clone(&metrics.scan_parallel_workers));
         let admission = AdmissionGate::new(metrics.admission.clone());
         SiasDb {
             stack,
@@ -505,7 +505,7 @@ impl SiasDb {
     pub fn rebuild_vidmap(&self, rel: RelId) -> SiasResult<VidMap> {
         let clog = &self.txm.clog;
         let newest = self.newest_versions(rel, |v| clog.status(v.create) != TxnStatus::Aborted)?;
-        let map = VidMap::new();
+        let map = self.new_vidmap();
         let mut max_vid = 0u64;
         for (vid, (tid, _)) in newest {
             map.set(vid, tid);
@@ -644,17 +644,13 @@ impl SiasDb {
         txn
     }
 
-    /// Publishes the always-on VID map counters (summed over relations)
-    /// into the registry, so they appear in snapshots.
-    fn sync_vidmap_metrics(&self) {
-        let (mut lookups, mut resizes) = (0u64, 0u64);
-        for r in self.relation_handles() {
-            lookups += r.vidmap.lookups();
-            resizes += r.vidmap.resizes();
-        }
+    /// An empty VID map counting into this engine's `core.vidmap.*`.
+    fn new_vidmap(&self) -> VidMap {
         let m = &self.metrics;
-        m.vidmap_lookups.add(lookups.saturating_sub(m.vidmap_lookups.get()));
-        m.vidmap_resizes.add(resizes.saturating_sub(m.vidmap_resizes.get()));
+        VidMap::new(VidMapCounters {
+            lookups: Arc::clone(&m.vidmap_lookups),
+            resizes: Arc::clone(&m.vidmap_resizes),
+        })
     }
 }
 
@@ -711,7 +707,7 @@ impl MvccEngine for SiasDb {
             .expect("index creation on fresh relation");
         let handle = SiasRelation {
             rel,
-            vidmap: VidMap::new(),
+            vidmap: self.new_vidmap(),
             append: AppendRegion::new(rel, Arc::clone(&self.stack.pool), self.policy),
             index,
         };
@@ -854,12 +850,6 @@ impl MvccEngine for SiasDb {
 
     fn obs_registry(&self) -> Option<&Arc<Registry>> {
         Some(&self.stack.obs)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.sync_vidmap_metrics();
-        self.stack.pool.sync_stats();
-        self.stack.obs.snapshot()
     }
 }
 
@@ -1221,7 +1211,7 @@ mod tests {
         db.shutdown().unwrap();
         // Reload the persisted VID map from its relation.
         let map_rel = RelId(rel.0 + 2);
-        let restored = VidMap::load_from(&db.stack.pool, map_rel).unwrap();
+        let restored = VidMap::load_from(&db.stack.pool, map_rel, Default::default()).unwrap();
         let r = db.relation_handle(rel).unwrap();
         assert_eq!(restored.vid_bound(), r.vidmap.vid_bound());
         for i in 0..100u64 {
@@ -1557,6 +1547,36 @@ mod tests {
         assert!(after.counter("txn.manager.commits").unwrap() >= 3);
         assert!(after.counter("core.vidmap.lookups").unwrap() > 0);
         assert!(after.counter("storage.wal.forces").unwrap() >= 3);
+    }
+
+    #[test]
+    fn sampler_series_carries_live_pool_and_vidmap_deltas() {
+        let (db, rel) = db();
+        let t = db.begin();
+        for k in 0..64u64 {
+            db.insert(&t, rel, k, b"v0").unwrap();
+        }
+        db.commit(t).unwrap();
+        let obs = Arc::clone(&db.stack().obs);
+        let baseline = obs.snapshot();
+        let sampler =
+            sias_obs::SamplerHandle::spawn(Arc::clone(&obs), std::time::Duration::from_millis(2));
+        for round in 0..20u8 {
+            for k in 0..64u64 {
+                let t = db.begin();
+                db.get(&t, rel, k).unwrap();
+                db.update(&t, rel, k, &[round; 8]).unwrap();
+                db.commit(t).unwrap();
+            }
+        }
+        let series = sampler.stop();
+        let end = obs.snapshot();
+        for name in ["storage.buffer.hits", "core.vidmap.lookups"] {
+            let moved = end.counter(name).unwrap() - baseline.counter(name).unwrap();
+            let sampled: u64 = series.points.iter().filter_map(|p| p.counters.get(name)).sum();
+            assert!(moved > 0, "{name} did not move in the registry");
+            assert_eq!(sampled, moved, "{name}: the series must account for every event");
+        }
     }
 
     #[test]

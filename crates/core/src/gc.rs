@@ -263,19 +263,14 @@ impl SiasDb {
             }
         }
         self.record_gc(&stats, pause_start);
-        let obs = &self.stack.obs;
-        obs.counter("storage.gc.slices").inc();
-        obs.counter("storage.gc.slice_pages").add(stats.pages_examined);
-        obs.counter("storage.gc.pages_reclaimed").add(stats.pages_reclaimed);
-        obs.counter("storage.gc.pages_deferred").add(stats.pages_deferred);
-        obs.counter("storage.gc.versions_relocated").add(stats.versions_relocated);
-        obs.counter("storage.gc.cas_skipped").add(stats.items_contended);
-        obs.counter("storage.gc.items_cleared").add(stats.items_cleared);
+        self.metrics.gc_slices.inc();
         span.set_arg(stats.pages_examined);
         Ok(stats)
     }
 
-    /// Books one public GC call on the `core.gc.*` metrics.
+    /// Books one public GC call, each outcome once: the `core.gc.*`
+    /// metrics plus the two only GC carries,
+    /// `storage.gc.{pages_deferred,cas_skipped}`.
     fn record_gc(&self, stats: &GcStats, pause_start: Instant) {
         let m = &self.metrics;
         m.gc_runs.inc();
@@ -284,6 +279,8 @@ impl SiasDb {
         m.gc_versions_discarded.add(stats.versions_discarded);
         m.gc_versions_relocated.add(stats.versions_relocated);
         m.gc_items_cleared.add(stats.items_cleared);
+        m.gc_items_contended.add(stats.items_contended);
+        m.gc_pages_deferred.add(stats.pages_deferred);
         m.gc_pause.record_duration(pause_start.elapsed());
     }
 

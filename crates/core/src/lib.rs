@@ -55,4 +55,4 @@ pub use recovery::RecoveryStats;
 pub use scanpool::ScanPool;
 pub use scrub::ScrubStats;
 pub use version::TupleVersion;
-pub use vidmap::VidMap;
+pub use vidmap::{VidMap, VidMapCounters};

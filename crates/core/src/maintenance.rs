@@ -458,11 +458,11 @@ mod tests {
         sched.pause();
         assert!(sched.is_paused());
         std::thread::sleep(Duration::from_millis(20));
-        let examined_paused = db.metrics_snapshot().counter("storage.gc.slice_pages");
+        let examined_paused = db.metrics_snapshot().counter("core.gc.pages_examined");
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
             examined_paused,
-            db.metrics_snapshot().counter("storage.gc.slice_pages"),
+            db.metrics_snapshot().counter("core.gc.pages_examined"),
             "no slices may run while paused"
         );
         sched.resume();

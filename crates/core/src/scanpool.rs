@@ -13,14 +13,15 @@
 //!
 //! Workers are spawned lazily — a pool that is never used costs nothing —
 //! and capped at construction. The current worker count is published on
-//! the `core.scan.parallel_workers` gauge.
+//! the `core.scan.parallel_workers` gauge, whose handle the engine
+//! resolves with the rest of its metrics.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread;
 
 use parking_lot::Mutex;
-use sias_obs::{Gauge, Registry};
+use sias_obs::Gauge;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -30,25 +31,21 @@ pub struct ScanPool {
     shared_rx: Arc<Mutex<Receiver<Job>>>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     max_workers: usize,
-    obs: Arc<Registry>,
-    /// Registered on first use, so an engine that never scans in
-    /// parallel keeps its metric-name set identical to the SI
-    /// baseline's (the differential harness diffs the two snapshots).
-    gauge: OnceLock<Arc<Gauge>>,
+    /// `core.scan.parallel_workers`.
+    workers_gauge: Arc<Gauge>,
 }
 
 impl ScanPool {
     /// Creates a pool that will grow up to `max_workers` threads,
-    /// reporting its size on `core.scan.parallel_workers` in `obs`.
-    pub fn with_registry(max_workers: usize, obs: &Arc<Registry>) -> Self {
+    /// reporting its size on `workers_gauge`.
+    pub fn new(max_workers: usize, workers_gauge: Arc<Gauge>) -> Self {
         let (tx, rx) = channel::<Job>();
         ScanPool {
             tx: Mutex::new(Some(tx)),
             shared_rx: Arc::new(Mutex::new(rx)),
             workers: Mutex::new(Vec::new()),
             max_workers: max_workers.max(1),
-            obs: Arc::clone(obs),
-            gauge: OnceLock::new(),
+            workers_gauge,
         }
     }
 
@@ -82,9 +79,7 @@ impl ScanPool {
                 .expect("spawn scan worker");
             workers.push(handle);
         }
-        self.gauge
-            .get_or_init(|| self.obs.gauge("core.scan.parallel_workers"))
-            .set(workers.len() as i64);
+        self.workers_gauge.set(workers.len() as i64);
     }
 
     /// Runs `f` over every input on the shared workers and returns the
@@ -140,22 +135,21 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn registry() -> Arc<Registry> {
-        Registry::new_shared()
+    fn pool(max_workers: usize) -> ScanPool {
+        ScanPool::new(max_workers, Arc::default())
     }
 
     #[test]
     fn results_come_back_in_input_order() {
-        let obs = registry();
-        let pool = ScanPool::with_registry(4, &obs);
+        let pool = pool(4);
         let out = pool.run((0..100u64).collect(), |x| x * 2);
         assert_eq!(out, (0..100u64).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
     fn workers_are_reused_across_calls_and_capped() {
-        let obs = registry();
-        let pool = ScanPool::with_registry(3, &obs);
+        let gauge = Arc::new(Gauge::new());
+        let pool = ScanPool::new(3, Arc::clone(&gauge));
         let seen = Arc::new(Mutex::new(HashSet::new()));
         for _ in 0..5 {
             let seen = Arc::clone(&seen);
@@ -166,13 +160,12 @@ mod tests {
         }
         assert_eq!(pool.worker_count(), 3, "pool must not grow past its cap");
         assert!(seen.lock().len() <= 3, "jobs must run on pooled threads only");
-        assert_eq!(obs.snapshot().gauge("core.scan.parallel_workers"), Some(3));
+        assert_eq!(gauge.get(), 3);
     }
 
     #[test]
     fn lazy_spawn_means_an_unused_pool_has_no_threads() {
-        let obs = registry();
-        let pool = ScanPool::with_registry(8, &obs);
+        let pool = pool(8);
         assert_eq!(pool.worker_count(), 0);
         pool.run(vec![1], |x: i32| x);
         assert_eq!(pool.worker_count(), 1);
@@ -180,8 +173,7 @@ mod tests {
 
     #[test]
     fn concurrent_callers_get_their_own_results() {
-        let obs = registry();
-        let pool = Arc::new(ScanPool::with_registry(2, &obs));
+        let pool = Arc::new(pool(2));
         let done = Arc::new(AtomicUsize::new(0));
         thread::scope(|s| {
             for caller in 0..4usize {

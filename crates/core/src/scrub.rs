@@ -139,7 +139,7 @@ impl SiasDb {
     /// `cursor` (a caller-held sweep position, wrapped around the
     /// relation) — one bounded slice of the media patrol. Safe under
     /// live traffic; see the module docs for the repair protocol. Ticks
-    /// `storage.scrub.slice_*`.
+    /// `storage.scrub.slice_runs`.
     pub fn scrub_slice(
         &self,
         rel: RelId,
@@ -148,10 +148,9 @@ impl SiasDb {
     ) -> SiasResult<ScrubStats> {
         let mut span = self.metrics.tracer.span(SpanName::ScrubSlice);
         let r = self.relation_handle(rel)?;
-        self.stack.obs.counter("storage.scrub.slice_runs").inc();
+        self.metrics.scrub_slice_runs.inc();
         let stats = self.scrub_sweep(&r, cursor, max_blocks)?;
         span.set_arg(stats.pages_scanned);
-        self.stack.obs.counter("storage.scrub.slice_blocks").add(stats.pages_scanned);
         Ok(stats)
     }
 
@@ -177,12 +176,12 @@ impl SiasDb {
                 Err(e) => return Err(e),
             }
         }
-        let obs = &self.stack.obs;
-        obs.counter("storage.scrub.scanned").add(stats.pages_scanned);
-        obs.counter("storage.scrub.corrupt").add(stats.pages_corrupt);
+        let m = &self.metrics;
+        m.scrub_scanned.add(stats.pages_scanned);
+        m.scrub_corrupt.add(stats.pages_corrupt);
         if !corrupt.is_empty() {
             self.repair_corrupt_blocks(r, corrupt, &mut stats)?;
-            obs.counter("storage.scrub.repaired").add(stats.pages_repaired);
+            m.scrub_repaired.add(stats.pages_repaired);
         }
         Ok(stats)
     }

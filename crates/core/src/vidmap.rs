@@ -33,12 +33,24 @@
 //! dependent acquire-loads plus the slot's atomic op.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use sias_common::config::VIDMAP_SLOTS_PER_BUCKET;
 use sias_common::RelId;
 use sias_common::{SiasResult, Tid, Vid};
+use sias_obs::Counter;
 use sias_storage::{BufferPool, Page};
+
+/// The registry counters a VID map counts into, resolved by the engine
+/// with the rest of its metrics. `Default` gives detached handles
+/// (tests, standalone maps).
+#[derive(Clone, Default)]
+pub struct VidMapCounters {
+    /// `core.vidmap.lookups` — entrypoint lookups served.
+    pub lookups: Arc<Counter>,
+    /// `core.vidmap.resizes` — bucket-directory growth events.
+    pub resizes: Arc<Counter>,
+}
 
 /// One bucket: a page-shaped array of packed-TID slots (0 = empty).
 struct Bucket {
@@ -71,29 +83,19 @@ pub struct VidMap {
     /// `0..published`; readers of individual VIDs don't consult it.
     published: AtomicUsize,
     next_vid: AtomicU64,
-    /// Entrypoint lookups served (always-on; the engine publishes this
-    /// as `core.vidmap.lookups` at snapshot time).
-    lookups: AtomicU64,
-    /// Bucket-directory growth events (`core.vidmap.resizes`).
-    resizes: AtomicU64,
-}
-
-impl Default for VidMap {
-    fn default() -> Self {
-        Self::new()
-    }
+    counters: VidMapCounters,
 }
 
 impl VidMap {
-    /// Creates an empty map.
-    pub fn new() -> Self {
+    /// Creates an empty map counting its lookups and growth into
+    /// `counters`.
+    pub fn new(counters: VidMapCounters) -> Self {
         let root: Vec<OnceLock<Segment>> = (0..ROOT_SEGMENTS).map(|_| OnceLock::new()).collect();
         VidMap {
             root: root.into_boxed_slice(),
             published: AtomicUsize::new(0),
             next_vid: AtomicU64::new(0),
-            lookups: AtomicU64::new(0),
-            resizes: AtomicU64::new(0),
+            counters,
         }
     }
 
@@ -146,7 +148,7 @@ impl VidMap {
         }
         let b = cell.get_or_init(Bucket::new);
         if self.published.fetch_max(bucket + 1, Ordering::AcqRel) <= bucket {
-            self.resizes.fetch_add(1, Ordering::Relaxed);
+            self.counters.resizes.inc();
         }
         b
     }
@@ -154,19 +156,9 @@ impl VidMap {
     /// Returns the entrypoint TID of `vid`, or `None` when the slot is
     /// empty (never inserted, or reclaimed).
     pub fn get(&self, vid: Vid) -> Option<Tid> {
-        self.lookups.fetch_add(1, Ordering::Relaxed);
+        self.counters.lookups.inc();
         let (b, s) = Self::locate(vid);
         Tid::unpack(self.bucket(b)?.slots[s].load(Ordering::Acquire))
-    }
-
-    /// Number of entrypoint lookups served so far.
-    pub fn lookups(&self) -> u64 {
-        self.lookups.load(Ordering::Relaxed)
-    }
-
-    /// Number of bucket-directory growth events so far.
-    pub fn resizes(&self) -> u64 {
-        self.resizes.load(Ordering::Relaxed)
     }
 
     /// Unconditionally points `vid` at `tid` (insert path; the slot was
@@ -284,9 +276,14 @@ impl VidMap {
         Ok(nbuckets)
     }
 
-    /// Reloads a map persisted by [`VidMap::save_to`].
-    pub fn load_from(pool: &BufferPool, rel: RelId) -> SiasResult<VidMap> {
-        let map = VidMap::new();
+    /// Reloads a map persisted by [`VidMap::save_to`], counting into
+    /// `counters` from then on.
+    pub fn load_from(
+        pool: &BufferPool,
+        rel: RelId,
+        counters: VidMapCounters,
+    ) -> SiasResult<VidMap> {
+        let map = VidMap::new(counters);
         let nblocks = pool.space().relation_blocks(rel);
         for bi in 0..nblocks {
             let tids: Vec<Option<Tid>> = pool.with_page(rel, bi, |page| {
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn vids_are_sequential() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         assert_eq!(m.allocate_vid(), Vid(0));
         assert_eq!(m.allocate_vid(), Vid(1));
         assert_eq!(m.vid_bound(), 2);
@@ -332,7 +329,7 @@ mod tests {
 
     #[test]
     fn set_get_remove() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         let v = m.allocate_vid();
         assert_eq!(m.get(v), None);
         m.set(v, Tid::new(3, 4));
@@ -343,7 +340,7 @@ mod tests {
 
     #[test]
     fn bucket_geometry_matches_paper() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         m.set(Vid(0), Tid::new(1, 1));
         assert_eq!(m.bucket_count(), 1);
         m.set(Vid(1023), Tid::new(1, 2));
@@ -356,7 +353,7 @@ mod tests {
 
     #[test]
     fn cas_swings_entrypoint() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         let v = m.allocate_vid();
         assert!(m.compare_and_set(v, None, Tid::new(1, 0)));
         assert!(!m.compare_and_set(v, None, Tid::new(2, 0)), "stale expectation");
@@ -365,14 +362,26 @@ mod tests {
     }
 
     #[test]
+    fn lookups_and_growth_count_into_the_given_handles() {
+        let counters = VidMapCounters::default();
+        let m = VidMap::new(counters.clone());
+        m.set(Vid(0), Tid::new(1, 1));
+        m.set(Vid(5000), Tid::new(1, 2));
+        m.get(Vid(0));
+        m.get(Vid(7));
+        assert_eq!(counters.lookups.get(), 2);
+        assert_eq!(counters.resizes.get(), 2, "buckets 0 and 4 published the directory");
+    }
+
+    #[test]
     fn get_of_unallocated_bucket_is_none() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         assert_eq!(m.get(Vid(999_999)), None);
     }
 
     #[test]
     fn for_each_visits_in_vid_order() {
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         for i in [5u64, 1500, 3] {
             m.set(Vid(i), Tid::new(i as u32, 0));
         }
@@ -391,7 +400,7 @@ mod tests {
 
     #[test]
     fn concurrent_cas_has_single_winner() {
-        let m = Arc::new(VidMap::new());
+        let m = Arc::new(VidMap::new(Default::default()));
         let v = m.allocate_vid();
         m.set(v, Tid::new(0, 0));
         let mut handles = vec![];
@@ -412,7 +421,7 @@ mod tests {
         let dev = Arc::new(MemDevice::standalone(1 << 16));
         let space = Arc::new(Tablespace::new(1 << 16));
         let pool = BufferPool::new(64, dev, space);
-        let m = VidMap::new();
+        let m = VidMap::new(Default::default());
         for _ in 0..2500 {
             let v = m.allocate_vid();
             if !v.0.is_multiple_of(3) {
@@ -422,7 +431,7 @@ mod tests {
         let rel = RelId(900);
         let buckets = m.save_to(&pool, rel).unwrap();
         assert_eq!(buckets, 3); // 2500 vids → 3 buckets
-        let restored = VidMap::load_from(&pool, rel).unwrap();
+        let restored = VidMap::load_from(&pool, rel, Default::default()).unwrap();
         assert_eq!(restored.vid_bound(), 2500);
         for i in 0..2500u64 {
             assert_eq!(restored.get(Vid(i)), m.get(Vid(i)), "vid {i}");

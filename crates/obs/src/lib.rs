@@ -237,19 +237,6 @@ impl Registry {
         MetricsSnapshot::from_samples(samples)
     }
 
-    /// Zeroes every registered metric (benchmark warmup boundary). The
-    /// metrics stay registered and existing handles stay valid.
-    pub fn reset_all(&self) {
-        let map = self.metrics.read().unwrap_or_else(|e| e.into_inner());
-        for m in map.values() {
-            match m {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
-
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
         self.metrics.read().unwrap_or_else(|e| e.into_inner()).len()
@@ -414,17 +401,6 @@ mod tests {
         assert_eq!(s.gauge("g"), Some(-2));
         let h = s.histogram("h").unwrap();
         assert_eq!((h.count, h.sum, h.max), (1, 31, 31));
-    }
-
-    #[test]
-    fn reset_all_keeps_handles_valid() {
-        let reg = Registry::new();
-        let c = reg.counter("c");
-        c.add(9);
-        reg.reset_all();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        assert_eq!(reg.snapshot().counter("c"), Some(1));
     }
 
     #[test]

@@ -29,11 +29,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Zeroes the counter (benchmark warmup boundaries).
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Point-in-time signed level (active transactions, resident bytes).
@@ -64,10 +59,6 @@ impl Gauge {
 
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -169,15 +160,6 @@ impl Histogram {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
-
     /// Full capture for snapshots: summary plus raw buckets.
     pub fn sample(&self) -> crate::snapshot::HistogramSample {
         crate::snapshot::HistogramSample { summary: self.summary(), buckets: self.bucket_counts() }
@@ -260,8 +242,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -8,17 +8,18 @@
 //! [`SamplerHandle`] wraps it in a background thread on a wall-clock
 //! interval for the threaded benches.
 //!
-//! Per-interval histogram quantiles come from *bucket-count diffs*:
-//! cumulative log2 bucket counts are monotone, so subtracting the
-//! previous tick's counts yields the interval's own distribution, which
-//! [`quantile_from_counts`] reduces exactly as the cumulative path does.
+//! Each tick is one [`MetricsSnapshot::since`] diff against the
+//! previous tick: per-interval histogram quantiles come from
+//! *bucket-count diffs* — cumulative log2 bucket counts are monotone, so
+//! subtracting the previous tick's counts yields the interval's own
+//! distribution.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::metric::quantile_from_counts;
+use crate::metric::HistogramSummary;
 use crate::snapshot::{push_json_string, MetricsSnapshot, SampleValue};
 use crate::Registry;
 
@@ -135,39 +136,21 @@ impl Sampler {
     pub fn tick(&mut self, t_ns: u64) {
         let now = self.registry.snapshot();
         let mut point = SeriesPoint { t_ns, ..SeriesPoint::default() };
-        for s in now.samples() {
-            match &s.value {
-                SampleValue::Counter(v) => {
-                    // saturating: reset_all between ticks would otherwise underflow.
-                    let delta = v.saturating_sub(self.last.counter(&s.name).unwrap_or(0));
-                    if delta > 0 {
-                        point.counters.insert(s.name.clone(), delta);
-                    }
+        for s in now.since(&self.last).samples() {
+            match s.value {
+                SampleValue::Counter(0) => {}
+                SampleValue::Counter(delta) => {
+                    point.counters.insert(s.name.clone(), delta);
                 }
                 SampleValue::Gauge(v) => {
-                    point.gauges.insert(s.name.clone(), *v);
+                    point.gauges.insert(s.name.clone(), v);
                 }
-                SampleValue::Histogram(h) => {
-                    let prev = self.last.histogram_buckets(&s.name);
-                    let mut diff = h.buckets;
-                    if let Some(prev) = prev {
-                        for (d, p) in diff.iter_mut().zip(prev.iter()) {
-                            *d = d.saturating_sub(*p);
-                        }
-                    }
-                    let count: u64 = diff.iter().sum();
-                    if count > 0 {
-                        point.histograms.insert(
-                            s.name.clone(),
-                            IntervalHistogram {
-                                count,
-                                p50: quantile_from_counts(&diff, h.summary.max, 0.50),
-                                p95: quantile_from_counts(&diff, h.summary.max, 0.95),
-                                p99: quantile_from_counts(&diff, h.summary.max, 0.99),
-                            },
-                        );
-                    }
+                SampleValue::Histogram(h) if h.summary.count > 0 => {
+                    let HistogramSummary { count, p50, p95, p99, .. } = h.summary;
+                    let interval = IntervalHistogram { count, p50, p95, p99 };
+                    point.histograms.insert(s.name.clone(), interval);
                 }
+                SampleValue::Histogram(_) => {}
             }
         }
         self.last = now;

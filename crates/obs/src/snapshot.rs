@@ -2,7 +2,7 @@
 //! Prometheus text exposition. Both serializers are hand-rolled — the
 //! formats are small and this crate takes no dependencies.
 
-use crate::metric::{bucket_hi, HistogramSummary, HISTOGRAM_BUCKETS};
+use crate::metric::{bucket_hi, quantile_from_counts, HistogramSummary, HISTOGRAM_BUCKETS};
 
 /// A histogram capture: the condensed summary plus the raw cumulative
 /// bucket counts. The buckets make snapshots *diffable* — the
@@ -20,6 +20,27 @@ impl HistogramSample {
     /// only care about the summary).
     pub fn from_summary(summary: HistogramSummary) -> Self {
         HistogramSample { summary, buckets: [0; HISTOGRAM_BUCKETS] }
+    }
+
+    /// The observations recorded between `before` and `self`: bucket
+    /// counts subtracted, quantiles re-derived from the interval's own
+    /// distribution, `max` as of `self` (exact when the interval holds
+    /// it; zero for an empty interval).
+    fn since(&self, before: &HistogramSample) -> HistogramSample {
+        let buckets: [u64; HISTOGRAM_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].saturating_sub(before.buckets[i]));
+        let count = buckets.iter().sum();
+        let max = if count == 0 { 0 } else { self.summary.max };
+        let q = |q| quantile_from_counts(&buckets, max, q);
+        let summary = HistogramSummary {
+            count,
+            sum: self.summary.sum.saturating_sub(before.summary.sum),
+            max,
+            p50: q(0.50),
+            p95: q(0.95),
+            p99: q(0.99),
+        };
+        HistogramSample { summary, buckets }
     }
 }
 
@@ -65,6 +86,32 @@ impl MetricsSnapshot {
 
     pub fn len(&self) -> usize {
         self.samples.len()
+    }
+
+    /// The interval from `before` to `self`, as a snapshot of the same
+    /// names: counter deltas, gauge levels as of `self`, and histograms
+    /// reduced to the observations recorded in between. A metric absent
+    /// from `before` counts from zero. Registry metrics only ever grow,
+    /// so this diff is how a measured interval is read — nothing is
+    /// reset.
+    pub fn since(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
+        let samples = self
+            .samples
+            .iter()
+            .map(|s| {
+                let value = match (&s.value, before.get(&s.name)) {
+                    (SampleValue::Counter(v), Some(SampleValue::Counter(b))) => {
+                        SampleValue::Counter(v.saturating_sub(*b))
+                    }
+                    (SampleValue::Histogram(h), Some(SampleValue::Histogram(b))) => {
+                        SampleValue::Histogram(h.since(b))
+                    }
+                    (v, _) => *v,
+                };
+                MetricSample { name: s.name.clone(), value }
+            })
+            .collect();
+        MetricsSnapshot { samples }
     }
 
     /// All metric names, sorted.
@@ -326,6 +373,36 @@ mod tests {
         assert!(p.contains("m_bucket{le=\"+Inf\"} 4\n"));
         // Empty buckets between the two are not emitted.
         assert_eq!(p.matches("m_bucket{").count(), 3);
+    }
+
+    #[test]
+    fn since_diffs_counters_and_histograms_and_keeps_gauge_levels() {
+        let hist = Histogram::new();
+        hist.record(1_000_000);
+        let sample = |c, g, h: &Histogram| {
+            MetricsSnapshot::from_samples(vec![
+                MetricSample { name: "c".into(), value: SampleValue::Counter(c) },
+                MetricSample { name: "g".into(), value: SampleValue::Gauge(g) },
+                MetricSample { name: "h".into(), value: SampleValue::Histogram(h.sample()) },
+            ])
+        };
+        let before = sample(5, 7, &hist);
+        for _ in 0..4 {
+            hist.record(10);
+        }
+        let after = sample(12, -1, &hist);
+        let d = after.since(&before);
+        assert_eq!(d.names(), after.names());
+        assert_eq!(d.counter("c"), Some(7));
+        assert_eq!(d.gauge("g"), Some(-1), "a gauge is a level, not a delta");
+        let h = d.histogram("h").unwrap();
+        assert_eq!((h.count, h.sum), (4, 40));
+        assert!(h.p99 < 16, "the slow pre-interval sample is not in the interval: {}", h.p99);
+        // A metric the baseline lacks counts from zero.
+        let empty = MetricsSnapshot::default();
+        assert_eq!(after.since(&empty).counter("c"), Some(12));
+        // An interval with no observations reads as an empty histogram.
+        assert_eq!(after.since(&after).histogram("h").unwrap().max, 0);
     }
 
     #[test]

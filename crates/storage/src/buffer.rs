@@ -19,13 +19,14 @@
 //!
 //! The page table is **lock-striped**: keys hash to one of N shards,
 //! each owning a disjoint range of frames, its own `Mutex<HashMap>`
-//! mapping table, its own clock hand, and its own statistic cells
-//! (folded into the shared registry at snapshot time). Page pins from
-//! different terminals therefore only contend when they touch the same
+//! mapping table, and its own clock hand. Page pins from different
+//! terminals therefore only contend on a table when they touch the same
 //! shard, and a clock sweep never scans or evicts another shard's
 //! frames. The invariant that makes this sound: a key's shard is a pure
 //! function of the key, so a frame owned by shard *s* only ever caches
-//! keys that hash to *s*.
+//! keys that hash to *s*. Hits, misses and evictions count straight
+//! into the registry's `storage.buffer.*` counters, one shared atomic
+//! each: every fetch takes the pool-wide quarantine lock first anyway.
 //!
 //! `with_page` / `with_page_mut` run a closure under the frame latch.
 //! **Closures must not re-enter the buffer pool** — nested calls can
@@ -35,7 +36,7 @@
 //! every frame of its shard pinned wait for an unpin rather than fail.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -66,7 +67,7 @@ pub struct BufferStats {
 
 /// Registry-backed counter handles (`storage.buffer.*`). Resolved once
 /// at pool construction; recording is a relaxed atomic add.
-struct StatCell {
+struct PoolCounters {
     tracer: Arc<FlightRecorder>,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -77,9 +78,9 @@ struct StatCell {
     checksum_failures: Arc<Counter>,
 }
 
-impl StatCell {
+impl PoolCounters {
     fn register(obs: &Registry) -> Self {
-        StatCell {
+        PoolCounters {
             tracer: Arc::clone(obs.tracer()),
             hits: obs.counter("storage.buffer.hits"),
             misses: obs.counter("storage.buffer.misses"),
@@ -104,18 +105,6 @@ struct Frame {
     usage: AtomicU32,
 }
 
-/// Per-shard statistic cells. Hot-path increments land here (one cache
-/// line per shard instead of one shared counter for the whole pool) and
-/// are folded into the registry-backed [`StatCell`] counters by
-/// [`BufferPool::sync_stats`] at snapshot time.
-#[derive(Default)]
-struct ShardCell {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    eviction_writes: AtomicU64,
-}
-
 /// One lock stripe of the page table: a disjoint range of frames
 /// (`lo .. lo + len`), the mapping table for keys hashing here, and a
 /// private clock hand sweeping only this shard's frames.
@@ -124,7 +113,6 @@ struct Shard {
     hand: AtomicUsize,
     lo: usize,
     len: usize,
-    cell: ShardCell,
 }
 
 /// A sharded clock-sweep buffer pool over one device + tablespace.
@@ -138,7 +126,7 @@ pub struct BufferPool {
     /// Async submit/reap queue for batched miss fills and checkpoint
     /// write-back; `None` keeps every path on blocking per-page I/O.
     io: Option<Arc<IoQueue>>,
-    stats: StatCell,
+    stats: PoolCounters,
     /// Pages that failed checksum verification, keyed by page id with
     /// the `(stored, computed)` CRC pair that condemned them. A
     /// quarantined page fails every fetch fast (no device read, no
@@ -205,13 +193,8 @@ impl BufferPool {
         let shards = (0..nshards)
             .map(|s| {
                 let len = base + usize::from(s < extra);
-                let shard = Shard {
-                    table: Mutex::new(HashMap::new()),
-                    hand: AtomicUsize::new(0),
-                    lo,
-                    len,
-                    cell: ShardCell::default(),
-                };
+                let shard =
+                    Shard { table: Mutex::new(HashMap::new()), hand: AtomicUsize::new(0), lo, len };
                 lo += len;
                 shard
             })
@@ -229,7 +212,7 @@ impl BufferPool {
                 budget: None,
             },
             io: None,
-            stats: StatCell::register(obs),
+            stats: PoolCounters::register(obs),
             quarantine: Mutex::new(HashMap::new()),
         }
     }
@@ -300,22 +283,8 @@ impl BufferPool {
         self.shards.len()
     }
 
-    /// Folds the per-shard stat cells into the shared registry counters.
-    /// Called by [`BufferPool::stats`]; engines also call it right
-    /// before taking a registry snapshot so `storage.buffer.*` counters
-    /// are current.
-    pub fn sync_stats(&self) {
-        for s in &self.shards {
-            self.stats.hits.add(s.cell.hits.swap(0, Ordering::Relaxed));
-            self.stats.misses.add(s.cell.misses.swap(0, Ordering::Relaxed));
-            self.stats.evictions.add(s.cell.evictions.swap(0, Ordering::Relaxed));
-            self.stats.eviction_writes.add(s.cell.eviction_writes.swap(0, Ordering::Relaxed));
-        }
-    }
-
-    /// Counter snapshot.
+    /// A read of the `storage.buffer.*` counters.
     pub fn stats(&self) -> BufferStats {
-        self.sync_stats();
         BufferStats {
             hits: self.stats.hits.get(),
             misses: self.stats.misses.get(),
@@ -324,17 +293,6 @@ impl BufferPool {
             bgwriter_writes: self.stats.bgwriter_writes.get(),
             checkpoint_writes: self.stats.checkpoint_writes.get(),
         }
-    }
-
-    /// Resets counters (between benchmark phases).
-    pub fn reset_stats(&self) {
-        self.sync_stats(); // drain shard cells so stale deltas don't resurface
-        self.stats.hits.reset();
-        self.stats.misses.reset();
-        self.stats.evictions.reset();
-        self.stats.eviction_writes.reset();
-        self.stats.bgwriter_writes.reset();
-        self.stats.checkpoint_writes.reset();
     }
 
     /// Runs `f` with shared access to the page.
@@ -441,10 +399,10 @@ impl BufferPool {
         let shard = self.shard_of(key);
         let mut table = shard.table.lock();
         if let Some(&idx) = table.get(&key) {
-            shard.cell.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.inc();
             return Ok(self.pin_resident(idx));
         }
-        shard.cell.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses.inc();
         // The whole miss path — victim search, eviction write-back, and
         // the synchronous device read — counts as the miss span.
         let _span = self.stats.tracer.span(SpanName::PoolMiss).arg(block as u64);
@@ -509,12 +467,12 @@ impl BufferPool {
                     return Err(e);
                 }
                 guard.dirty = false;
-                shard.cell.eviction_writes.fetch_add(1, Ordering::Relaxed);
+                self.stats.eviction_writes.inc();
             }
             // A frame owned by this shard only ever holds keys hashing
             // to this shard, so the victim's mapping lives in `table`.
             table.remove(&old_key);
-            shard.cell.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.evictions.inc();
         }
         table.insert(key, idx);
         frame.usage.store(1, Ordering::Relaxed);
@@ -605,7 +563,7 @@ impl BufferPool {
             if table.contains_key(&key) {
                 continue; // resident (or already claimed by this batch)
             }
-            shard.cell.misses.fetch_add(1, Ordering::Relaxed);
+            self.stats.misses.inc();
             // Pool pressure (everything pinned or hot): prefetching is
             // optional, leave the page to the foreground fetch.
             let Some(idx) = self.clock_victim(shard) else { continue };
@@ -643,10 +601,10 @@ impl BufferPool {
                         continue;
                     }
                     guard.dirty = false;
-                    shard.cell.eviction_writes.fetch_add(1, Ordering::Relaxed);
+                    self.stats.eviction_writes.inc();
                 }
                 table.remove(&old_key);
-                shard.cell.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.evictions.inc();
             }
             table.insert(key, idx);
             frame.usage.store(1, Ordering::Relaxed);

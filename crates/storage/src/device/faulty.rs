@@ -390,10 +390,6 @@ impl Device for FaultyDevice {
     fn stats(&self) -> DeviceStats {
         self.inner.stats()
     }
-
-    fn reset_stats(&self) {
-        self.inner.reset_stats();
-    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Real-file devices: page-aligned single files and round-robin stripe
-//! sets over multiple files.
+//! Real-file devices: page-aligned single files, and round-robin stripe
+//! sets over several of them.
 //!
 //! This is the first backend in `device/` that touches actual hardware.
 //! [`FileDevice`] stores pages in a regular file (or a raw block device
@@ -10,23 +10,20 @@
 //! bounce buffer the device copies through on every call. `sync` writes
 //! and [`Device::flush`] are honored via `fdatasync`.
 //!
-//! [`StripedDevice`] stripes logical pages round-robin across N member
-//! devices with the same address math as [`super::Raid0`] (logical page
-//! `l` → member `l % n`, member-local page `l / n`), mirroring the
-//! paper's 2-/6-SSD software RAID-0 testbeds. Unlike `Raid0` it
-//! forwards the fallible `try_*` calls and the durability barrier, so
+//! [`FileDevice::open_stripe`] opens one file per path and stripes them
+//! with [`Raid0`], the same stripe the simulated 2-/6-SSD testbeds use;
+//! it forwards the fallible `try_*` calls and the durability barrier, so
 //! real files (whose I/O can genuinely fail) keep their error paths.
 
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::os::unix::fs::OpenOptionsExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use sias_common::{SiasError, SiasResult, PAGE_SIZE};
 
-use super::{Device, DeviceEnv, DeviceStats, StatCell};
+use super::{Device, DeviceEnv, DeviceStats, Raid0};
 use crate::trace::{IoDir, TraceEvent};
 
 /// `O_DIRECT` on Linux (x86_64/aarch64). `std` does not re-export it
@@ -54,7 +51,6 @@ pub struct FileDevice {
     capacity_pages: u64,
     direct: bool,
     env: DeviceEnv,
-    stats: StatCell,
 }
 
 impl FileDevice {
@@ -95,7 +91,27 @@ impl FileDevice {
             file.set_len(bytes)
                 .map_err(|e| SiasError::Device(format!("set_len {}: {e}", path.display())))?;
         }
-        Ok(FileDevice { file, path, capacity_pages, direct, env, stats: StatCell::default() })
+        Ok(FileDevice { file, path, capacity_pages, direct, env })
+    }
+
+    /// Opens one device per path and stripes across them; the set's
+    /// total capacity is at least `capacity_pages` (each member gets the
+    /// rounded-up per-member share). Members share `env`'s counters and
+    /// trace, with trace ids `env.device_id + i`.
+    pub fn open_stripe(
+        paths: &[PathBuf],
+        capacity_pages: u64,
+        env: DeviceEnv,
+    ) -> SiasResult<Raid0> {
+        assert!(!paths.is_empty(), "stripe set needs at least one path");
+        let per_member = capacity_pages.div_ceil(paths.len() as u64);
+        let mut members: Vec<Arc<dyn Device>> = Vec::with_capacity(paths.len());
+        for (i, p) in paths.iter().enumerate() {
+            let mut e = env.clone();
+            e.device_id = e.device_id.wrapping_add(i as u16);
+            members.push(Arc::new(FileDevice::open(p, per_member, e)?));
+        }
+        Ok(Raid0::new(members))
     }
 
     /// Device with a fresh environment (tests, benches).
@@ -163,7 +179,7 @@ impl Device for FileDevice {
     fn try_read_page(&self, lba: u64, buf: &mut [u8]) -> SiasResult<()> {
         assert!(lba < self.capacity_pages, "read past device capacity");
         assert_eq!(buf.len(), PAGE_SIZE);
-        self.stats.host_read_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_read_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -183,7 +199,7 @@ impl Device for FileDevice {
     fn try_write_page(&self, lba: u64, data: &[u8], sync: bool) -> SiasResult<()> {
         assert!(lba < self.capacity_pages, "write past device capacity");
         assert_eq!(data.len(), PAGE_SIZE);
-        self.stats.host_write_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_write_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -216,119 +232,7 @@ impl Device for FileDevice {
     }
 
     fn stats(&self) -> DeviceStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
-    }
-}
-
-/// Page-granular round-robin stripe set over real (fallible) devices.
-pub struct StripedDevice {
-    members: Vec<Arc<dyn Device>>,
-}
-
-impl StripedDevice {
-    /// Builds a stripe set. Panics when `members` is empty.
-    pub fn new(members: Vec<Arc<dyn Device>>) -> Self {
-        assert!(!members.is_empty(), "stripe set needs at least one member");
-        StripedDevice { members }
-    }
-
-    /// Opens one [`FileDevice`] per path and stripes across them; the
-    /// set's total capacity is at least `capacity_pages` (each member
-    /// gets the rounded-up per-member share).
-    pub fn open_files(
-        paths: &[PathBuf],
-        capacity_pages: u64,
-        env: DeviceEnv,
-    ) -> SiasResult<StripedDevice> {
-        assert!(!paths.is_empty(), "stripe set needs at least one path");
-        let per_member = capacity_pages.div_ceil(paths.len() as u64);
-        let mut members: Vec<Arc<dyn Device>> = Vec::with_capacity(paths.len());
-        for (i, p) in paths.iter().enumerate() {
-            let mut e = env.clone();
-            e.device_id = e.device_id.wrapping_add(i as u16);
-            members.push(Arc::new(FileDevice::open(p, per_member, e)?));
-        }
-        Ok(StripedDevice::new(members))
-    }
-
-    /// Number of member devices.
-    pub fn width(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Routes a logical page to `(member index, member-local page)` —
-    /// the same math as [`super::Raid0`].
-    #[inline]
-    pub fn route(&self, lba: u64) -> (usize, u64) {
-        let n = self.members.len() as u64;
-        ((lba % n) as usize, lba / n)
-    }
-
-    /// Per-member statistics (stripe-balance assertions in tests).
-    pub fn member_stats(&self) -> Vec<DeviceStats> {
-        self.members.iter().map(|m| m.stats()).collect()
-    }
-}
-
-impl Device for StripedDevice {
-    fn read_page(&self, lba: u64, buf: &mut [u8]) {
-        let (m, mlba) = self.route(lba);
-        self.members[m].read_page(mlba, buf);
-    }
-
-    fn write_page(&self, lba: u64, data: &[u8], sync: bool) {
-        let (m, mlba) = self.route(lba);
-        self.members[m].write_page(mlba, data, sync);
-    }
-
-    fn try_read_page(&self, lba: u64, buf: &mut [u8]) -> SiasResult<()> {
-        let (m, mlba) = self.route(lba);
-        self.members[m].try_read_page(mlba, buf)
-    }
-
-    fn try_write_page(&self, lba: u64, data: &[u8], sync: bool) -> SiasResult<()> {
-        let (m, mlba) = self.route(lba);
-        self.members[m].try_write_page(mlba, data, sync)
-    }
-
-    fn capacity_pages(&self) -> u64 {
-        let n = self.members.len() as u64;
-        self.members.iter().map(|m| m.capacity_pages()).min().unwrap_or(0) * n
-    }
-
-    fn trim(&self, lba: u64) {
-        let (m, mlba) = self.route(lba);
-        self.members[m].trim(mlba);
-    }
-
-    fn flush(&self) -> SiasResult<()> {
-        for m in &self.members {
-            m.flush()?;
-        }
-        Ok(())
-    }
-
-    fn stats(&self) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for m in &self.members {
-            let s = m.stats();
-            total.host_read_pages += s.host_read_pages;
-            total.host_write_pages += s.host_write_pages;
-            total.internal_write_pages += s.internal_write_pages;
-            total.erases += s.erases;
-            total.trims += s.trims;
-        }
-        total
-    }
-
-    fn reset_stats(&self) {
-        for m in &self.members {
-            m.reset_stats();
-        }
+        self.env.counters.read()
     }
 }
 
@@ -339,7 +243,7 @@ const _: () = assert!(PAGE_SIZE.is_multiple_of(DIRECT_ALIGN));
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Unique temp path per call (no tempfile crate in the workspace).
     pub(crate) fn tmp_path(tag: &str) -> PathBuf {
@@ -392,15 +296,17 @@ mod tests {
         d.read_page(8, &mut buf);
     }
 
-    fn striped(paths: &[PathBuf], pages: u64) -> StripedDevice {
-        StripedDevice::open_files(paths, pages, DeviceEnv::fresh()).unwrap()
+    fn striped(paths: &[PathBuf], pages: u64, env: DeviceEnv) -> Raid0 {
+        FileDevice::open_stripe(paths, pages, env).unwrap()
     }
 
     #[test]
     fn stripe_roundtrip_and_balance() {
         let paths = vec![tmp_path("s0"), tmp_path("s1")];
         let _c = Cleanup(paths.clone());
-        let d = striped(&paths, 64);
+        let env = DeviceEnv::fresh();
+        env.trace.enable();
+        let d = striped(&paths, 64, env.clone());
         assert_eq!(d.width(), 2);
         assert!(d.capacity_pages() >= 64);
         for lba in 0..40u64 {
@@ -413,34 +319,16 @@ mod tests {
             d.read_page(lba, &mut buf);
             assert_eq!(buf[0], lba as u8, "lba {lba}");
         }
-        for s in d.member_stats() {
-            assert_eq!(s.host_write_pages, 20, "round-robin balances writes");
-        }
+        assert_eq!(d.stats().host_write_pages, 40, "one shared counter set");
+        let writes_on = |id: u16| {
+            env.trace.events().iter().filter(|e| e.device == id && e.dir == IoDir::Write).count()
+        };
+        assert_eq!((writes_on(0), writes_on(1)), (20, 20), "round-robin balances writes");
     }
 
     mod props {
         use super::*;
         use proptest::prelude::*;
-
-        proptest! {
-            /// route() is a bijection: distinct logical pages map to
-            /// distinct (member, offset) slots and back.
-            #[test]
-            fn route_is_a_bijection(width in 1usize..7, lbas in proptest::collection::vec(0u64..4096, 1..64)) {
-                let n = width as u64;
-                let mut slots = std::collections::BTreeMap::new();
-                for &lba in &lbas {
-                    let (m, mlba) = ((lba % n) as usize, lba / n);
-                    prop_assert!(m < width);
-                    // Invert: member-local slot back to the logical page.
-                    prop_assert_eq!(mlba * n + m as u64, lba);
-                    // Injective: a slot is only ever claimed by one page.
-                    if let Some(prev) = slots.insert((m, mlba), lba) {
-                        prop_assert_eq!(prev, lba, "slot ({}, {}) double-mapped", m, mlba);
-                    }
-                }
-            }
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
@@ -455,7 +343,7 @@ mod tests {
                 let s1 = tmp_path("prop-s1");
                 let _c = Cleanup(vec![single_p.clone(), s0.clone(), s1.clone()]);
                 let single = FileDevice::standalone(&single_p, 48).unwrap();
-                let striped = striped(&[s0, s1], 48);
+                let striped = striped(&[s0, s1], 48, DeviceEnv::fresh());
                 for &(lba, fill) in &writes {
                     let img = vec![fill; PAGE_SIZE];
                     single.write_page(lba, &img, false);

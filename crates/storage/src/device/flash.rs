@@ -19,7 +19,7 @@
 use parking_lot::Mutex;
 use sias_common::PAGE_SIZE;
 
-use super::{Device, DeviceEnv, DeviceStats, StatCell};
+use super::{Device, DeviceCounters, DeviceEnv, DeviceStats};
 use crate::trace::{IoDir, TraceEvent};
 
 /// Flash device geometry and timing.
@@ -85,7 +85,6 @@ struct Ftl {
 pub struct FlashDevice {
     cfg: FlashConfig,
     env: DeviceEnv,
-    stats: StatCell,
     ftl: Mutex<Ftl>,
     data: Mutex<Vec<Option<Box<[u8]>>>>,
 }
@@ -109,7 +108,6 @@ impl FlashDevice {
         };
         FlashDevice {
             env,
-            stats: StatCell::default(),
             ftl: Mutex::new(ftl),
             data: Mutex::new(vec![None; cfg.capacity_pages as usize]),
             cfg,
@@ -147,8 +145,12 @@ impl FlashDevice {
     /// guaranteed by over-provisioning: total valid pages ≤ logical
     /// capacity < physical capacity, so the minimum-valid sealed block is
     /// never completely full.
-    fn alloc_phys(ftl: &mut Ftl, cfg: &FlashConfig, stats: &StatCell, busy: &mut u64) -> u64 {
-        use std::sync::atomic::Ordering;
+    fn alloc_phys(
+        ftl: &mut Ftl,
+        cfg: &FlashConfig,
+        counters: &DeviceCounters,
+        busy: &mut u64,
+    ) -> u64 {
         while ftl.next_in_block >= cfg.pages_per_block {
             if let Some(b) = ftl.free_blocks.pop() {
                 ftl.active_block = b;
@@ -165,8 +167,8 @@ impl FlashDevice {
                     relocated < cfg.pages_per_block as u64,
                     "over-provisioning guarantees a non-full victim"
                 );
-                stats.internal_write_pages.fetch_add(relocated, Ordering::Relaxed);
-                stats.erases.fetch_add(1, Ordering::Relaxed);
+                counters.internal_write_pages.add(relocated);
+                counters.erases.inc();
                 *busy += relocated * (cfg.read_us + cfg.program_us) + cfg.erase_us;
                 // Erase + copy survivors back to the front of the block.
                 let base = victim as u64 * cfg.pages_per_block as u64;
@@ -195,10 +197,9 @@ impl FlashDevice {
 
 impl Device for FlashDevice {
     fn read_page(&self, lba: u64, buf: &mut [u8]) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.cfg.capacity_pages, "read past device capacity");
         assert_eq!(buf.len(), PAGE_SIZE);
-        self.stats.host_read_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_read_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -224,10 +225,9 @@ impl Device for FlashDevice {
     }
 
     fn write_page(&self, lba: u64, data: &[u8], sync: bool) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.cfg.capacity_pages, "write past device capacity");
         assert_eq!(data.len(), PAGE_SIZE);
-        self.stats.host_write_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_write_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -245,7 +245,7 @@ impl Device for FlashDevice {
                 ftl.valid[blk] = ftl.valid[blk].saturating_sub(1);
                 ftl.owner[old as usize] = u64::MAX;
             }
-            let phys = Self::alloc_phys(&mut ftl, &self.cfg, &self.stats, &mut gc_busy);
+            let phys = Self::alloc_phys(&mut ftl, &self.cfg, &self.env.counters, &mut gc_busy);
             ftl.map[lba as usize] = phys;
             ftl.owner[phys as usize] = lba;
             let blk = (phys / self.cfg.pages_per_block as u64) as usize;
@@ -262,11 +262,10 @@ impl Device for FlashDevice {
     }
 
     fn trim(&self, lba: u64) {
-        use std::sync::atomic::Ordering;
         if lba >= self.cfg.capacity_pages {
             return;
         }
-        self.stats.trims.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.trims.inc();
         let mut ftl = self.ftl.lock();
         let phys = ftl.map[lba as usize];
         if phys != u64::MAX {
@@ -280,11 +279,7 @@ impl Device for FlashDevice {
     }
 
     fn stats(&self) -> DeviceStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
+        self.env.counters.read()
     }
 }
 
@@ -462,13 +457,5 @@ mod tests {
     #[test]
     fn capacity_is_reported() {
         assert_eq!(small_flash().capacity_pages(), 256);
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let d = small_flash();
-        d.write_page(0, &vec![0u8; PAGE_SIZE], true);
-        d.reset_stats();
-        assert_eq!(d.stats(), DeviceStats::default());
     }
 }

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 use sias_common::PAGE_SIZE;
 use std::collections::HashMap;
 
-use super::{Device, DeviceEnv, DeviceStats, StatCell};
+use super::{Device, DeviceEnv, DeviceStats};
 use crate::trace::{IoDir, TraceEvent};
 
 /// HDD timing parameters.
@@ -56,7 +56,6 @@ struct Head {
 pub struct HddDevice {
     cfg: HddConfig,
     env: DeviceEnv,
-    stats: StatCell,
     head: Mutex<Head>,
     data: Mutex<HashMap<u64, Box<[u8]>>>,
 }
@@ -67,7 +66,6 @@ impl HddDevice {
         HddDevice {
             cfg,
             env,
-            stats: StatCell::default(),
             head: Mutex::new(Head { next_seq_lba: 0, free_at: 0 }),
             data: Mutex::new(HashMap::new()),
         }
@@ -96,10 +94,9 @@ impl HddDevice {
 
 impl Device for HddDevice {
     fn read_page(&self, lba: u64, buf: &mut [u8]) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.cfg.capacity_pages, "read past device capacity");
         assert_eq!(buf.len(), PAGE_SIZE);
-        self.stats.host_read_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_read_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -115,10 +112,9 @@ impl Device for HddDevice {
     }
 
     fn write_page(&self, lba: u64, data: &[u8], sync: bool) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.cfg.capacity_pages, "write past device capacity");
         assert_eq!(data.len(), PAGE_SIZE);
-        self.stats.host_write_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_write_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -135,11 +131,7 @@ impl Device for HddDevice {
     }
 
     fn stats(&self) -> DeviceStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
+        self.env.counters.read()
     }
 }
 

@@ -8,26 +8,20 @@ use parking_lot::Mutex;
 use sias_common::{SiasError, SiasResult, PAGE_SIZE};
 use std::collections::HashMap;
 
-use super::{Device, DeviceEnv, DeviceStats, StatCell};
+use super::{Device, DeviceEnv, DeviceStats};
 use crate::trace::{IoDir, TraceEvent};
 
 /// An in-memory page store with zero access latency.
 pub struct MemDevice {
     capacity_pages: u64,
     env: DeviceEnv,
-    stats: StatCell,
     data: Mutex<HashMap<u64, Box<[u8]>>>,
 }
 
 impl MemDevice {
     /// Creates a device of `capacity_pages` pages.
     pub fn new(capacity_pages: u64, env: DeviceEnv) -> Self {
-        MemDevice {
-            capacity_pages,
-            env,
-            stats: StatCell::default(),
-            data: Mutex::new(HashMap::new()),
-        }
+        MemDevice { capacity_pages, env, data: Mutex::new(HashMap::new()) }
     }
 
     /// Device with a fresh environment (tests).
@@ -44,10 +38,9 @@ impl MemDevice {
 
 impl Device for MemDevice {
     fn read_page(&self, lba: u64, buf: &mut [u8]) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.capacity_pages, "read past device capacity");
         assert_eq!(buf.len(), PAGE_SIZE);
-        self.stats.host_read_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_read_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -62,10 +55,9 @@ impl Device for MemDevice {
     }
 
     fn write_page(&self, lba: u64, data: &[u8], _sync: bool) {
-        use std::sync::atomic::Ordering;
         assert!(lba < self.capacity_pages, "write past device capacity");
         assert_eq!(data.len(), PAGE_SIZE);
-        self.stats.host_write_pages.fetch_add(1, Ordering::Relaxed);
+        self.env.counters.host_write_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
             device: self.env.device_id,
@@ -108,18 +100,13 @@ impl Device for MemDevice {
     }
 
     fn trim(&self, lba: u64) {
-        use std::sync::atomic::Ordering;
         if self.data.lock().remove(&lba).is_some() {
-            self.stats.trims.fetch_add(1, Ordering::Relaxed);
+            self.env.counters.trims.inc();
         }
     }
 
     fn stats(&self) -> DeviceStats {
-        self.stats.snapshot()
-    }
-
-    fn reset_stats(&self) {
-        self.stats.reset();
+        self.env.counters.read()
     }
 }
 

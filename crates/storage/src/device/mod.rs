@@ -20,7 +20,9 @@
 //!
 //! Every device stores real page images (the buffer pool evicts to and
 //! re-reads from them), charges virtual time on the shared
-//! [`VirtualClock`], and records host I/Os in a [`TraceCollector`].
+//! [`VirtualClock`], counts every I/O once in the [`DeviceCounters`] of
+//! its [`DeviceEnv`] (`storage.device.*` in the registry for a stack's
+//! data device), and records host I/Os in a [`TraceCollector`].
 //! Synchronous operations advance the clock (the "host" blocks);
 //! asynchronous writes (background writer, checkpointer) only occupy
 //! device channels.
@@ -32,18 +34,18 @@ pub mod hdd;
 pub mod mem;
 pub mod raid;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 pub use faulty::{FaultConfig, FaultPlan, FaultyDevice};
-pub use file::{FileDevice, StripedDevice};
+pub use file::FileDevice;
 pub use flash::{FlashConfig, FlashDevice};
 pub use hdd::{HddConfig, HddDevice};
 pub use mem::MemDevice;
 pub use raid::Raid0;
 
 use sias_common::{SiasResult, VirtualClock};
-use sias_obs::{Counter, Histogram};
+use sias_obs::{Counter, Histogram, Registry};
 
 use crate::trace::TraceCollector;
 
@@ -98,12 +100,9 @@ pub trait Device: Send + Sync {
         Ok(())
     }
 
-    /// Snapshot of the device counters.
+    /// A read of the device's counters. They only grow: a measured
+    /// interval is the difference of two reads.
     fn stats(&self) -> DeviceStats;
-
-    /// Resets the counters (used between benchmark phases, e.g. after
-    /// TPC-C load and before the measured interval).
-    fn reset_stats(&self);
 }
 
 /// Monotonic device counters.
@@ -111,6 +110,7 @@ pub trait Device: Send + Sync {
 /// `host_*` counts I/O the database issued; `internal_write_pages` and
 /// `erases` count FTL garbage-collection work — the difference is the
 /// write amplification the paper's endurance discussion (§6) is about.
+/// `after - before` is the interval between two reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DeviceStats {
     /// Pages read by the host.
@@ -146,33 +146,64 @@ impl DeviceStats {
     }
 }
 
-/// Counter cell shared by the device implementations.
-#[derive(Debug, Default)]
-pub(crate) struct StatCell {
-    pub host_read_pages: AtomicU64,
-    pub host_write_pages: AtomicU64,
-    pub internal_write_pages: AtomicU64,
-    pub erases: AtomicU64,
-    pub trims: AtomicU64,
+impl std::ops::Sub for DeviceStats {
+    type Output = DeviceStats;
+
+    fn sub(self, before: DeviceStats) -> DeviceStats {
+        DeviceStats {
+            host_read_pages: self.host_read_pages - before.host_read_pages,
+            host_write_pages: self.host_write_pages - before.host_write_pages,
+            internal_write_pages: self.internal_write_pages - before.internal_write_pages,
+            erases: self.erases - before.erases,
+            trims: self.trims - before.trims,
+        }
+    }
 }
 
-impl StatCell {
-    pub fn snapshot(&self) -> DeviceStats {
-        DeviceStats {
-            host_read_pages: self.host_read_pages.load(Ordering::Relaxed),
-            host_write_pages: self.host_write_pages.load(Ordering::Relaxed),
-            internal_write_pages: self.internal_write_pages.load(Ordering::Relaxed),
-            erases: self.erases.load(Ordering::Relaxed),
-            trims: self.trims.load(Ordering::Relaxed),
+/// Handles of the five device counters, resolved once. A stack's data
+/// device counts into `storage.device.*` of the stack's registry; RAID
+/// members share their set, so the stripe's total is one read.
+#[derive(Clone)]
+pub struct DeviceCounters {
+    /// `storage.device.host_read_pages`.
+    pub host_read_pages: Arc<Counter>,
+    /// `storage.device.host_write_pages`.
+    pub host_write_pages: Arc<Counter>,
+    /// `storage.device.internal_write_pages` — FTL relocations.
+    pub internal_write_pages: Arc<Counter>,
+    /// `storage.device.erases`.
+    pub erases: Arc<Counter>,
+    /// `storage.device.trims`.
+    pub trims: Arc<Counter>,
+}
+
+impl DeviceCounters {
+    /// Registers (or re-resolves) `storage.device.*` in `obs`.
+    pub fn register(obs: &Registry) -> Self {
+        let mut h = obs.handles();
+        DeviceCounters {
+            host_read_pages: h.counter("storage.device.host_read_pages"),
+            host_write_pages: h.counter("storage.device.host_write_pages"),
+            internal_write_pages: h.counter("storage.device.internal_write_pages"),
+            erases: h.counter("storage.device.erases"),
+            trims: h.counter("storage.device.trims"),
         }
     }
 
-    pub fn reset(&self) {
-        self.host_read_pages.store(0, Ordering::Relaxed);
-        self.host_write_pages.store(0, Ordering::Relaxed);
-        self.internal_write_pages.store(0, Ordering::Relaxed);
-        self.erases.store(0, Ordering::Relaxed);
-        self.trims.store(0, Ordering::Relaxed);
+    /// A set in no registry (log devices, standalone devices, tests).
+    pub fn detached() -> Self {
+        Self::register(&Registry::new())
+    }
+
+    /// Current values.
+    pub fn read(&self) -> DeviceStats {
+        DeviceStats {
+            host_read_pages: self.host_read_pages.get(),
+            host_write_pages: self.host_write_pages.get(),
+            internal_write_pages: self.internal_write_pages.get(),
+            erases: self.erases.get(),
+            trims: self.trims.get(),
+        }
     }
 }
 
@@ -185,12 +216,20 @@ pub struct DeviceEnv {
     pub trace: Arc<TraceCollector>,
     /// Trace/device id (distinguishes RAID members).
     pub device_id: u16,
+    /// The counters every I/O of the device lands in.
+    pub counters: DeviceCounters,
 }
 
 impl DeviceEnv {
-    /// Environment with a fresh clock and trace (tests, standalone use).
+    /// Environment with a fresh clock and trace and detached counters
+    /// (tests, standalone use).
     pub fn fresh() -> Self {
-        DeviceEnv { clock: VirtualClock::new(), trace: TraceCollector::new(), device_id: 0 }
+        DeviceEnv {
+            clock: VirtualClock::new(),
+            trace: TraceCollector::new(),
+            device_id: 0,
+            counters: DeviceCounters::detached(),
+        }
     }
 }
 
@@ -474,6 +513,14 @@ mod tests {
             DeviceStats { host_write_pages: 100, internal_write_pages: 50, ..Default::default() };
         assert!((s.write_amplification() - 1.5).abs() < 1e-9);
         assert_eq!(DeviceStats::default().write_amplification(), 1.0);
+    }
+
+    #[test]
+    fn interval_is_a_subtraction() {
+        let before = DeviceStats { host_write_pages: 5, erases: 1, ..Default::default() };
+        let after = DeviceStats { host_write_pages: 12, erases: 1, trims: 2, ..Default::default() };
+        let d = after - before;
+        assert_eq!((d.host_write_pages, d.erases, d.trims), (7, 0, 2));
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! (§5, Figures 5 and 6). Striping is page-granular: logical page `l`
 //! lives on member `l % n` at member-local address `l / n`, so both
 //! sequential appends and scattered reads fan out across all members.
+//! Members may be simulated drives or real files
+//! ([`FileDevice::open_stripe`](super::FileDevice::open_stripe)); the
+//! stripe forwards the fallible calls, TRIM and the durability barrier
+//! to whichever member owns the page.
 
 use std::sync::Arc;
 
@@ -32,11 +36,6 @@ impl Raid0 {
     fn route(&self, lba: u64) -> (usize, u64) {
         let n = self.members.len() as u64;
         ((lba % n) as usize, lba / n)
-    }
-
-    /// Per-member statistics (useful for balance assertions in tests).
-    pub fn member_stats(&self) -> Vec<DeviceStats> {
-        self.members.iter().map(|m| m.stats()).collect()
     }
 }
 
@@ -78,23 +77,13 @@ impl Device for Raid0 {
         Ok(())
     }
 
+    /// Members count into one shared [`DeviceCounters`] set (built
+    /// from one [`DeviceEnv`]), so any member's read is the stripe's.
+    ///
+    /// [`DeviceCounters`]: super::DeviceCounters
+    /// [`DeviceEnv`]: super::DeviceEnv
     fn stats(&self) -> DeviceStats {
-        let mut total = DeviceStats::default();
-        for m in &self.members {
-            let s = m.stats();
-            total.host_read_pages += s.host_read_pages;
-            total.host_write_pages += s.host_write_pages;
-            total.internal_write_pages += s.internal_write_pages;
-            total.erases += s.erases;
-            total.trims += s.trims;
-        }
-        total
-    }
-
-    fn reset_stats(&self) {
-        for m in &self.members {
-            m.reset_stats();
-        }
+        self.members[0].stats()
     }
 }
 
@@ -135,14 +124,17 @@ mod tests {
 
     #[test]
     fn stripe_balances_sequential_io() {
-        let (r, _env) = raid(4);
+        let (r, env) = raid(4);
+        env.trace.enable();
         let img = vec![1u8; PAGE_SIZE];
         for lba in 0..400u64 {
             r.write_page(lba, &img, false);
         }
-        for s in r.member_stats() {
-            assert_eq!(s.host_write_pages, 100);
+        let mut per_member = [0u32; 4];
+        for e in env.trace.events() {
+            per_member[e.device as usize] += e.pages;
         }
+        assert_eq!(per_member, [100; 4]);
     }
 
     #[test]
@@ -152,15 +144,40 @@ mod tests {
     }
 
     #[test]
-    fn aggregated_stats_and_reset() {
-        let (r, _env) = raid(2);
+    fn members_share_one_counter_set() {
+        let (r, env) = raid(2);
         let img = vec![0u8; PAGE_SIZE];
         for lba in 0..10 {
             r.write_page(lba, &img, true);
         }
         assert_eq!(r.stats().host_write_pages, 10);
-        r.reset_stats();
-        assert_eq!(r.stats().host_write_pages, 0);
+        assert_eq!(env.counters.read(), r.stats(), "the stripe total is the shared set");
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// route() is a bijection: distinct logical pages map to
+            /// distinct (member, offset) slots and back.
+            #[test]
+            fn route_is_a_bijection(width in 1usize..7, lbas in proptest::collection::vec(0u64..4096, 1..64)) {
+                let (r, _env) = raid(width);
+                let n = width as u64;
+                let mut slots = std::collections::BTreeMap::new();
+                for &lba in &lbas {
+                    let (m, mlba) = r.route(lba);
+                    prop_assert!(m < width);
+                    // Invert: member-local slot back to the logical page.
+                    prop_assert_eq!(mlba * n + m as u64, lba);
+                    // Injective: a slot is only ever claimed by one page.
+                    if let Some(prev) = slots.insert((m, mlba), lba) {
+                        prop_assert_eq!(prev, lba, "slot ({}, {}) double-mapped", m, mlba);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod wal;
 pub use buffer::{BufferPool, BufferStats};
 pub use device::{
     retry_io, Device, DeviceRef, DeviceStats, FaultConfig, FaultPlan, FaultyDevice, FileDevice,
-    FlashConfig, HddConfig, RetryBudget, RetryClock, RetryCtx, RetryPolicy, StripedDevice,
+    FlashConfig, HddConfig, Raid0, RetryBudget, RetryClock, RetryCtx, RetryPolicy,
 };
 pub use fsm::FreeSpaceMap;
 pub use health::{Health, HealthConfig, HealthState};
@@ -50,5 +50,5 @@ pub use stack::{
     Media, SpaceConfig, SpaceStatus, StorageConfig, StorageStack, DEFAULT_MAINT_PAGES_PER_SEC,
 };
 pub use tablespace::Tablespace;
-pub use trace::{IoDir, TraceCollector, TraceEvent, TraceSummary, DEFAULT_TRACE_CAPACITY};
+pub use trace::{IoDir, TraceCollector, TraceEvent, DEFAULT_TRACE_CAPACITY};
 pub use wal::{Wal, WalConfig, WalRecord, WalStats};

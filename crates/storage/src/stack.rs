@@ -20,8 +20,8 @@ use sias_obs::{Gauge, Registry};
 
 use crate::buffer::BufferPool;
 use crate::device::{
-    Device, DeviceEnv, FaultPlan, FaultyDevice, FileDevice, FlashConfig, FlashDevice, HddConfig,
-    HddDevice, MemDevice, Raid0, RetryBudget, RetryClock, StripedDevice,
+    Device, DeviceCounters, DeviceEnv, FaultPlan, FaultyDevice, FileDevice, FlashConfig,
+    FlashDevice, HddConfig, HddDevice, MemDevice, Raid0, RetryBudget, RetryClock,
 };
 use crate::health::Health;
 use crate::io_queue::IoQueue;
@@ -336,9 +336,11 @@ pub struct StorageStack {
     /// The shared virtual clock.
     pub clock: Arc<VirtualClock>,
     /// Block trace of the **data** device only (the paper traces the data
-    /// volume; the WAL lived on a separate device).
+    /// volume; the WAL lived on a separate device). A bounded window for
+    /// scatter plots and locality; totals come from `storage.device.*`.
     pub trace: Arc<TraceCollector>,
-    /// The data device.
+    /// The data device. Its I/O counts into `storage.device.*` of `obs`,
+    /// and its `stats()` reads those counters.
     pub data: Arc<dyn Device>,
     /// Tablespace mapping relation blocks onto the data device.
     pub space: Arc<Tablespace>,
@@ -377,21 +379,22 @@ impl StorageStack {
             RetryBudget::default_budget()
                 .with_counter(obs.counter("storage.retry.budget_exhausted")),
         );
+        // The data device's I/O lands in `storage.device.*`; RAID members
+        // share the one set and the trace, with their own trace ids.
+        let env = DeviceEnv {
+            clock: Arc::clone(&clock),
+            trace: Arc::clone(&trace),
+            device_id: 0,
+            counters: DeviceCounters::register(&obs),
+        };
         let data: Arc<dyn Device> = match &cfg.media {
-            Media::Mem => Arc::new(MemDevice::new(
-                cfg.capacity_pages,
-                DeviceEnv { clock: Arc::clone(&clock), trace: Arc::clone(&trace), device_id: 0 },
-            )),
+            Media::Mem => Arc::new(MemDevice::new(cfg.capacity_pages, env)),
             Media::SsdRaid { members, flash } => {
                 let devs: Vec<Arc<dyn Device>> = (0..*members)
                     .map(|i| {
                         Arc::new(FlashDevice::new(
                             FlashConfig { capacity_pages: cfg.capacity_pages, ..*flash },
-                            DeviceEnv {
-                                clock: Arc::clone(&clock),
-                                trace: Arc::clone(&trace),
-                                device_id: i as u16,
-                            },
+                            DeviceEnv { device_id: i as u16, ..env.clone() },
                         )) as Arc<dyn Device>
                     })
                     .collect();
@@ -403,33 +406,16 @@ impl StorageStack {
             }
             Media::Hdd(h) => Arc::new(HddDevice::new(
                 HddConfig { capacity_pages: cfg.capacity_pages, ..*h },
-                DeviceEnv { clock: Arc::clone(&clock), trace: Arc::clone(&trace), device_id: 0 },
+                env,
             )),
-            Media::File { path } => Arc::new(
-                FileDevice::open(
-                    path,
-                    cfg.capacity_pages,
-                    DeviceEnv {
-                        clock: Arc::clone(&clock),
-                        trace: Arc::clone(&trace),
-                        device_id: 0,
-                    },
-                )
-                .expect("open data file"),
-            ),
+            Media::File { path } => {
+                Arc::new(FileDevice::open(path, cfg.capacity_pages, env).expect("open data file"))
+            }
             // `capacity_pages` is per member (as for `ssd_raid`);
-            // `open_files` takes the set's total.
+            // `open_stripe` takes the set's total.
             Media::Striped { paths } => Arc::new(
-                StripedDevice::open_files(
-                    paths,
-                    cfg.capacity_pages * paths.len() as u64,
-                    DeviceEnv {
-                        clock: Arc::clone(&clock),
-                        trace: Arc::clone(&trace),
-                        device_id: 0,
-                    },
-                )
-                .expect("open striped data files"),
+                FileDevice::open_stripe(paths, cfg.capacity_pages * paths.len() as u64, env)
+                    .expect("open striped data files"),
             ),
         };
         let data: Arc<dyn Device> = if cfg.faults.data.enabled() {
@@ -472,10 +458,11 @@ impl StorageStack {
         }
         let pool = Arc::new(pool);
         // The WAL gets its own device of the same media class, sharing the
-        // clock (commit latency is real) but not the data trace. File
-        // media put the log in a sibling file at `<path>.wal`.
-        let wal_env =
-            DeviceEnv { clock: Arc::clone(&clock), trace: TraceCollector::new(), device_id: 0 };
+        // clock (commit latency is real) but neither the data trace nor
+        // the `storage.device.*` counters: log pages are counted by
+        // `storage.wal.*`. File media put the log in a sibling file at
+        // `<path>.wal`.
+        let wal_env = DeviceEnv { clock: Arc::clone(&clock), ..DeviceEnv::fresh() };
         let wal_pages = cfg.space.wal_device_pages;
         let wal_dev: Arc<dyn Device> = match &cfg.media {
             Media::Mem => Arc::new(MemDevice::new(wal_pages, wal_env)),
@@ -731,6 +718,22 @@ mod tests {
     }
 
     #[test]
+    fn data_device_counts_every_page_the_trace_ring_drops() {
+        let cfg = StorageConfig::in_memory().with_trace_capacity(8);
+        let s = StorageStack::new(&cfg);
+        s.trace.enable();
+        let img = vec![1u8; PAGE_SIZE];
+        for lba in 0..20 {
+            s.data.write_page(lba, &img, false);
+        }
+        let snap = s.obs.snapshot();
+        assert_eq!(snap.counter("storage.device.host_write_pages"), Some(20));
+        assert_eq!(s.data.stats().host_write_pages, 20);
+        assert_eq!(s.trace.len(), 8, "the ring is a window");
+        assert_eq!(snap.counter("storage.trace.dropped"), Some(12));
+    }
+
+    #[test]
     fn stack_shares_one_retry_budget() {
         let s = StorageStack::new(&StorageConfig::in_memory());
         assert!(s.budget.tokens() > 0);
@@ -746,8 +749,11 @@ mod tests {
         s.wal.append(&WalRecord::Commit(Xid(1)));
         s.wal.force().unwrap();
         assert!(s.clock.now_us() > 0);
-        // ... but leaves no events in the data trace.
+        // ... but leaves no events in the data trace, and no pages in the
+        // data device's counters.
         s.trace.enable();
         assert!(s.trace.is_empty());
+        assert_eq!(s.obs.snapshot().counter("storage.device.host_write_pages"), Some(0));
+        assert!(s.wal.device().stats().host_write_pages > 0);
     }
 }

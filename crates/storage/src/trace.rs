@@ -1,19 +1,20 @@
 //! Block-trace recording — the reproduction's `blktrace`/`blkparse`.
 //!
 //! The paper visualizes device behaviour by recording a block trace of a
-//! TPC-C run (Figures 3 and 4) and totals the write volume with
-//! `blkparse` (Table 1). Every host-visible I/O submitted to a device
-//! model is recorded here with its virtual timestamp, logical block
-//! address and direction, and can be exported as CSV for plotting or
-//! summarized in MB.
+//! TPC-C run (Figures 3 and 4). Every host-visible I/O submitted to a
+//! device model is recorded here with its virtual timestamp, logical
+//! block address and direction, and can be exported as CSV for plotting.
+//! The ring is a bounded *window* on the trace, for the scatter and for
+//! locality statistics: volumes and op counts (the paper's `blkparse`
+//! totals, Table 1) come from the device counters, `storage.device.*`,
+//! which count every I/O the ring may have dropped.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sias_common::PAGE_SIZE;
-use sias_obs::{Counter, MetricSample, MetricsSnapshot, Registry, SampleValue};
+use sias_obs::{Counter, Registry};
 
 /// Direction of a traced I/O.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -37,54 +38,6 @@ pub struct TraceEvent {
     pub pages: u32,
     /// Direction.
     pub dir: IoDir,
-}
-
-/// Aggregate totals computed from a trace (the `blkparse` summary line).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TraceSummary {
-    /// Number of read requests.
-    pub read_ops: u64,
-    /// Number of write requests.
-    pub write_ops: u64,
-    /// Total read volume in MiB.
-    pub read_mb: f64,
-    /// Total write volume in MiB.
-    pub write_mb: f64,
-}
-
-impl TraceSummary {
-    /// Exports the summary as a [`MetricsSnapshot`] under `storage.trace.*`
-    /// so traces serialize through the same JSON/Prometheus pipeline as
-    /// every other metric. Volumes are converted from MiB to exact byte
-    /// counts (page-multiple volumes are dyadic, so the conversion is
-    /// lossless).
-    pub fn to_metrics_snapshot(&self) -> MetricsSnapshot {
-        let bytes = |mb: f64| (mb * 1024.0 * 1024.0).round() as u64;
-        MetricsSnapshot::from_samples(vec![
-            MetricSample {
-                name: "storage.trace.read_ops".into(),
-                value: SampleValue::Counter(self.read_ops),
-            },
-            MetricSample {
-                name: "storage.trace.write_ops".into(),
-                value: SampleValue::Counter(self.write_ops),
-            },
-            MetricSample {
-                name: "storage.trace.read_bytes".into(),
-                value: SampleValue::Counter(bytes(self.read_mb)),
-            },
-            MetricSample {
-                name: "storage.trace.write_bytes".into(),
-                value: SampleValue::Counter(bytes(self.write_mb)),
-            },
-        ])
-    }
-}
-
-impl From<TraceSummary> for MetricsSnapshot {
-    fn from(s: TraceSummary) -> Self {
-        s.to_metrics_snapshot()
-    }
 }
 
 /// Default ring-buffer bound: 2²⁰ events (≈ 24 MiB) — enough for every
@@ -197,26 +150,6 @@ impl TraceCollector {
         self.len() == 0
     }
 
-    /// Aggregates the trace like `blkparse`'s summary.
-    pub fn summary(&self) -> TraceSummary {
-        let events = self.events.lock();
-        let mut s = TraceSummary::default();
-        let page_mb = PAGE_SIZE as f64 / (1024.0 * 1024.0);
-        for ev in events.iter() {
-            match ev.dir {
-                IoDir::Read => {
-                    s.read_ops += 1;
-                    s.read_mb += ev.pages as f64 * page_mb;
-                }
-                IoDir::Write => {
-                    s.write_ops += 1;
-                    s.write_mb += ev.pages as f64 * page_mb;
-                }
-            }
-        }
-        s
-    }
-
     /// Renders the trace as CSV (`time_s,device,lba,pages,dir`), sorted by
     /// time — the input format of the Figure 3/4 scatter plots.
     pub fn to_csv(&self) -> String {
@@ -269,22 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_totals() {
-        let c = TraceCollector::new();
-        c.enable();
-        for i in 0..128 {
-            c.record(ev(i, i, IoDir::Write));
-        }
-        c.record(TraceEvent { time_us: 200, device: 0, lba: 0, pages: 128, dir: IoDir::Read });
-        let s = c.summary();
-        assert_eq!(s.write_ops, 128);
-        assert_eq!(s.read_ops, 1);
-        // 128 pages of 8 KiB = 1 MiB either way.
-        assert!((s.write_mb - 1.0).abs() < 1e-9);
-        assert!((s.read_mb - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn csv_sorted_and_formatted() {
         let c = TraceCollector::new();
         c.enable();
@@ -319,30 +236,10 @@ mod tests {
         c.record(ev(1, 1, IoDir::Read));
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.summary(), TraceSummary::default());
     }
 
     #[test]
-    fn summary_exports_as_metrics_snapshot() {
-        let c = TraceCollector::new();
-        c.enable();
-        for i in 0..128 {
-            c.record(ev(i, i, IoDir::Write));
-        }
-        c.record(TraceEvent { time_us: 200, device: 0, lba: 0, pages: 128, dir: IoDir::Read });
-        let snap = c.summary().to_metrics_snapshot();
-        assert_eq!(snap.counter("storage.trace.write_ops"), Some(128));
-        assert_eq!(snap.counter("storage.trace.read_ops"), Some(1));
-        // 128 pages of 8 KiB = 1 MiB, converted back to exact bytes.
-        assert_eq!(snap.counter("storage.trace.write_bytes"), Some(1 << 20));
-        assert_eq!(snap.counter("storage.trace.read_bytes"), Some(1 << 20));
-        // Both serializations carry all four samples.
-        assert!(snap.to_json().contains("storage.trace.write_bytes"));
-        assert!(snap.to_prometheus().contains("storage_trace_write_bytes"));
-    }
-
-    #[test]
-    fn csv_roundtrip_preserves_event_count_and_summary() {
+    fn csv_roundtrip_preserves_every_event() {
         let c = TraceCollector::new();
         c.enable();
         for i in 0..50u64 {
@@ -369,19 +266,8 @@ mod tests {
                 dir: if f[4] == "R" { IoDir::Read } else { IoDir::Write },
             });
         }
-        assert_eq!(parsed.len(), c.len());
-
-        // Rebuild a collector from the parsed events: identical summary,
-        // hence identical metrics snapshot.
-        let c2 = TraceCollector::new();
-        c2.enable();
-        for e in parsed {
-            c2.record(e);
-        }
-        assert_eq!(c2.summary(), c.summary());
-        assert_eq!(
-            c2.summary().to_metrics_snapshot().to_json(),
-            c.summary().to_metrics_snapshot().to_json()
-        );
+        let key = |e: &TraceEvent| (e.time_us, e.device, e.lba, e.pages, e.dir == IoDir::Read);
+        let original: Vec<_> = c.events().iter().map(key).collect();
+        assert_eq!(parsed.iter().map(key).collect::<Vec<_>>(), original);
     }
 }

@@ -9,9 +9,11 @@
 //! Naming follows `<crate>.<component>.<name>`; the operation
 //! histograms record wall-clock nanoseconds, `chain_depth` records the
 //! number of versions traversed to find the visible one (for SI: index
-//! candidates probed), and the GC family counts vacuum work. Metrics
-//! that do not apply to one engine (e.g. GC under SI) simply stay zero
-//! — they are registered anyway so both snapshots have identical shape.
+//! candidates probed), and the GC, scrub and checkpoint families count
+//! maintenance work, each outcome under exactly one name. Metrics that
+//! do not apply to one engine (e.g. GC under SI) simply stay zero — they
+//! are registered here, eagerly, so both snapshots have identical shape
+//! whatever either engine has run.
 
 use std::sync::Arc;
 
@@ -90,6 +92,37 @@ pub struct EngineMetrics {
     pub gc_items_cleared: Arc<Counter>,
     /// `core.gc.pause` — vacuum pass duration (ns).
     pub gc_pause: Arc<Histogram>,
+    /// `storage.gc.slices` — incremental GC slices run (a subset of
+    /// `core.gc.runs`).
+    pub gc_slices: Arc<Counter>,
+    /// `storage.gc.pages_deferred` — victims parked for a horizon-gated
+    /// recycle.
+    pub gc_pages_deferred: Arc<Counter>,
+    /// `storage.gc.cas_skipped` — items skipped because a writer held
+    /// them (retried on a later slice).
+    pub gc_items_contended: Arc<Counter>,
+    /// `storage.scrub.slice_runs` — incremental scrub slices run.
+    pub scrub_slice_runs: Arc<Counter>,
+    /// `storage.scrub.scanned` — blocks probed by scrub, slices and
+    /// whole passes alike.
+    pub scrub_scanned: Arc<Counter>,
+    /// `storage.scrub.corrupt` — probed blocks that failed verification.
+    pub scrub_corrupt: Arc<Counter>,
+    /// `storage.scrub.repaired` — corrupt blocks rebuilt and reclaimed.
+    pub scrub_repaired: Arc<Counter>,
+    /// `storage.ckpt.runs` — checkpoints taken.
+    pub ckpt_runs: Arc<Counter>,
+    /// `storage.ckpt.pages_flushed` — pages written by checkpoints.
+    pub ckpt_pages_flushed: Arc<Counter>,
+    /// `storage.ckpt.paced_skipped` — paced checkpoints below their WAL
+    /// threshold.
+    pub ckpt_paced_skipped: Arc<Counter>,
+    /// `storage.ckpt.paced_runs` — paced checkpoints taken.
+    pub ckpt_paced_runs: Arc<Counter>,
+    /// `storage.ckpt.paced_pages` — pages flushed by paced checkpoints.
+    pub ckpt_paced_pages: Arc<Counter>,
+    /// `core.scan.parallel_workers` — live parallel-scan workers.
+    pub scan_parallel_workers: Arc<Gauge>,
     /// `txn.manager.aborts_write_conflict` — first-updater-wins losers.
     pub write_conflicts: Arc<Counter>,
     /// The `core.admission.*` family (see [`AdmissionMetrics`]).
@@ -124,6 +157,19 @@ impl EngineMetrics {
             gc_versions_relocated: h.counter("core.gc.versions_relocated"),
             gc_items_cleared: h.counter("core.gc.items_cleared"),
             gc_pause: h.histogram("core.gc.pause"),
+            gc_slices: h.counter("storage.gc.slices"),
+            gc_pages_deferred: h.counter("storage.gc.pages_deferred"),
+            gc_items_contended: h.counter("storage.gc.cas_skipped"),
+            scrub_slice_runs: h.counter("storage.scrub.slice_runs"),
+            scrub_scanned: h.counter("storage.scrub.scanned"),
+            scrub_corrupt: h.counter("storage.scrub.corrupt"),
+            scrub_repaired: h.counter("storage.scrub.repaired"),
+            ckpt_runs: h.counter("storage.ckpt.runs"),
+            ckpt_pages_flushed: h.counter("storage.ckpt.pages_flushed"),
+            ckpt_paced_skipped: h.counter("storage.ckpt.paced_skipped"),
+            ckpt_paced_runs: h.counter("storage.ckpt.paced_runs"),
+            ckpt_paced_pages: h.counter("storage.ckpt.paced_pages"),
+            scan_parallel_workers: h.gauge("core.scan.parallel_workers"),
             write_conflicts: h.counter("txn.manager.aborts_write_conflict"),
             admission: AdmissionMetrics::register(&mut h),
             tracer,

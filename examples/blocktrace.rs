@@ -17,28 +17,30 @@ fn run<E: MvccEngine>(engine: &E, stack: &StorageStack) {
     let cfg = TpccConfig::scaled(5);
     let tables = load(engine, &cfg).expect("load");
     engine.maintenance(true);
-    stack.data.reset_stats();
+    let before = stack.data.stats();
     stack.trace.clear();
     stack.trace.enable();
     let dcfg = DriverConfig::for_warehouses(5).with_duration(60).with_think_scale(0.2);
     let res = run_benchmark(engine, &tables, &cfg, &dcfg, &stack.clock).expect("bench");
     stack.trace.disable();
 
+    // Totals from the device counters; the trace ring is the window the
+    // pattern lines and the scatter come from.
+    let s = stack.data.stats() - before;
     let events = stack.trace.events();
-    let s = stack.trace.summary();
-    let total = (s.read_ops + s.write_ops).max(1) as f64;
+    let total = (s.host_read_pages + s.host_write_pages).max(1) as f64;
     let writes: Vec<u64> = events.iter().filter(|e| e.dir == IoDir::Write).map(|e| e.lba).collect();
     let distinct: std::collections::BTreeSet<u64> = writes.iter().copied().collect();
     println!("--- {} ---", engine.name());
     println!("  NOTPM {:.0}", res.notpm);
     println!(
         "  device ops: {:.1}% reads / {:.1}% writes  ({} + {})",
-        100.0 * s.read_ops as f64 / total,
-        100.0 * s.write_ops as f64 / total,
-        s.read_ops,
-        s.write_ops
+        100.0 * s.host_read_pages as f64 / total,
+        100.0 * s.host_write_pages as f64 / total,
+        s.host_read_pages,
+        s.host_write_pages
     );
-    println!("  write volume: {:.1} MB", s.write_mb);
+    println!("  write volume: {:.1} MB", s.host_write_mb());
     if !writes.is_empty() {
         let rewrite = writes.len() as f64 / distinct.len() as f64;
         println!(

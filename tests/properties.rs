@@ -157,7 +157,7 @@ proptest! {
     fn vidmap_persistence_roundtrip(slots in proptest::collection::vec(
         proptest::option::of((0u32..10_000, 0u16..1024)), 1..2000
     )) {
-        let map = VidMap::new();
+        let map = VidMap::new(Default::default());
         for slot in &slots {
             let vid = map.allocate_vid();
             if let Some((block, s)) = slot {
@@ -168,7 +168,7 @@ proptest! {
         let space = std::sync::Arc::new(sias::storage::Tablespace::new(1 << 16));
         let pool = sias::storage::BufferPool::new(64, dev, space);
         map.save_to(&pool, sias::common::RelId(42)).unwrap();
-        let restored = VidMap::load_from(&pool, sias::common::RelId(42)).unwrap();
+        let restored = VidMap::load_from(&pool, sias::common::RelId(42), Default::default()).unwrap();
         prop_assert_eq!(restored.vid_bound(), map.vid_bound());
         for i in 0..slots.len() as u64 {
             prop_assert_eq!(restored.get(Vid(i)), map.get(Vid(i)));

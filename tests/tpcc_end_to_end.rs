@@ -24,18 +24,18 @@ fn tpcc_on_ssd_sias_beats_si_on_writes() {
     let sias = SiasDb::open_with_policy(storage.clone(), FlushPolicy::T2);
     let tables = load(&sias, &cfg).unwrap();
     sias.maintenance(true);
-    sias.stack().data.reset_stats();
+    let before = sias.stack().data.stats();
     let res_sias =
         run_benchmark(&sias, &tables, &cfg, &small_driver(), &sias.stack().clock).unwrap();
-    let writes_sias = sias.stack().data.stats().host_write_pages;
+    let writes_sias = (sias.stack().data.stats() - before).host_write_pages;
     assert!(check_consistency(&sias, &tables, &cfg).unwrap().is_empty());
 
     let si = SiDb::open(storage);
     let tables = load(&si, &cfg).unwrap();
     si.maintenance(true);
-    si.stack().data.reset_stats();
+    let before = si.stack().data.stats();
     let res_si = run_benchmark(&si, &tables, &cfg, &small_driver(), &si.stack().clock).unwrap();
-    let writes_si = si.stack().data.stats().host_write_pages;
+    let writes_si = (si.stack().data.stats() - before).host_write_pages;
     assert!(check_consistency(&si, &tables, &cfg).unwrap().is_empty());
 
     assert!(res_sias.new_order_commits > 0 && res_si.new_order_commits > 0);
