@@ -191,9 +191,7 @@ mod tests {
         }
         db.commit(t).unwrap();
         db.checkpoint().unwrap();
-        let restored =
-            crate::VidMap::load_from(&db.stack().pool, RelId(rel.0 + 2), Default::default())
-                .unwrap();
+        let restored = crate::VidMap::load_from(&db.stack().pool, RelId(rel.0 + 2)).unwrap();
         let r = db.relation_handle(rel).unwrap();
         assert_eq!(restored.vid_bound(), r.vidmap.vid_bound());
         for i in 0..100u64 {

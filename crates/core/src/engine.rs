@@ -501,11 +501,13 @@ impl SiasDb {
     /// Rebuilds a relation's VID map by scanning its tuple versions — the
     /// crash-recovery path of §6: "all information that is required for a
     /// reconstruction is stored on each tuple version". The entrypoint of
-    /// each item is its newest non-aborted version.
+    /// each item is its newest non-aborted version. No relation serves
+    /// the rebuilt map, so it counts into detached handles, not the
+    /// engine's `core.vidmap.*`.
     pub fn rebuild_vidmap(&self, rel: RelId) -> SiasResult<VidMap> {
         let clog = &self.txm.clog;
         let newest = self.newest_versions(rel, |v| clog.status(v.create) != TxnStatus::Aborted)?;
-        let map = self.new_vidmap();
+        let map = VidMap::new(VidMapCounters::default());
         let mut max_vid = 0u64;
         for (vid, (tid, _)) in newest {
             map.set(vid, tid);
@@ -643,15 +645,6 @@ impl SiasDb {
         self.stack.wal.append(&WalRecord::Begin(txn.xid));
         txn
     }
-
-    /// An empty VID map counting into this engine's `core.vidmap.*`.
-    fn new_vidmap(&self) -> VidMap {
-        let m = &self.metrics;
-        VidMap::new(VidMapCounters {
-            lookups: Arc::clone(&m.vidmap_lookups),
-            resizes: Arc::clone(&m.vidmap_resizes),
-        })
-    }
 }
 
 /// The resolve loop every batched scan shares: walks all `entries`
@@ -705,9 +698,14 @@ impl MvccEngine for SiasDb {
         self.stack.space.create_relation(rel);
         let index = BPlusTree::create(Arc::clone(&self.stack.pool), index_rel)
             .expect("index creation on fresh relation");
+        // The served map counts into this engine's `core.vidmap.*`.
+        let vidmap = VidMap::new(VidMapCounters {
+            lookups: Arc::clone(&self.metrics.vidmap_lookups),
+            resizes: Arc::clone(&self.metrics.vidmap_resizes),
+        });
         let handle = SiasRelation {
             rel,
-            vidmap: self.new_vidmap(),
+            vidmap,
             append: AppendRegion::new(rel, Arc::clone(&self.stack.pool), self.policy),
             index,
         };
@@ -1211,7 +1209,7 @@ mod tests {
         db.shutdown().unwrap();
         // Reload the persisted VID map from its relation.
         let map_rel = RelId(rel.0 + 2);
-        let restored = VidMap::load_from(&db.stack.pool, map_rel, Default::default()).unwrap();
+        let restored = VidMap::load_from(&db.stack.pool, map_rel).unwrap();
         let r = db.relation_handle(rel).unwrap();
         assert_eq!(restored.vid_bound(), r.vidmap.vid_bound());
         for i in 0..100u64 {

@@ -277,13 +277,9 @@ impl VidMap {
     }
 
     /// Reloads a map persisted by [`VidMap::save_to`], counting into
-    /// `counters` from then on.
-    pub fn load_from(
-        pool: &BufferPool,
-        rel: RelId,
-        counters: VidMapCounters,
-    ) -> SiasResult<VidMap> {
-        let map = VidMap::new(counters);
+    /// detached handles (recovery rebuilds served maps by replay).
+    pub fn load_from(pool: &BufferPool, rel: RelId) -> SiasResult<VidMap> {
+        let map = VidMap::new(VidMapCounters::default());
         let nblocks = pool.space().relation_blocks(rel);
         for bi in 0..nblocks {
             let tids: Vec<Option<Tid>> = pool.with_page(rel, bi, |page| {
@@ -431,7 +427,7 @@ mod tests {
         let rel = RelId(900);
         let buckets = m.save_to(&pool, rel).unwrap();
         assert_eq!(buckets, 3); // 2500 vids → 3 buckets
-        let restored = VidMap::load_from(&pool, rel, Default::default()).unwrap();
+        let restored = VidMap::load_from(&pool, rel).unwrap();
         assert_eq!(restored.vid_bound(), 2500);
         for i in 0..2500u64 {
             assert_eq!(restored.get(Vid(i)), m.get(Vid(i)), "vid {i}");

@@ -24,13 +24,19 @@ impl HistogramSample {
 
     /// The observations recorded between `before` and `self`: bucket
     /// counts subtracted, quantiles re-derived from the interval's own
-    /// distribution, `max` as of `self` (exact when the interval holds
-    /// it; zero for an empty interval).
+    /// distribution. `max` is the running max capped at the top of the
+    /// interval's highest non-empty bucket: exact when the interval
+    /// holds the running max, otherwise an upper bound within that
+    /// bucket, and never an observation from before the interval; zero
+    /// for an empty interval.
     fn since(&self, before: &HistogramSample) -> HistogramSample {
         let buckets: [u64; HISTOGRAM_BUCKETS] =
             std::array::from_fn(|i| self.buckets[i].saturating_sub(before.buckets[i]));
         let count = buckets.iter().sum();
-        let max = if count == 0 { 0 } else { self.summary.max };
+        let max = buckets
+            .iter()
+            .rposition(|&c| c > 0)
+            .map_or(0, |top| self.summary.max.min(bucket_hi(top)));
         let q = |q| quantile_from_counts(&buckets, max, q);
         let summary = HistogramSummary {
             count,
@@ -398,6 +404,7 @@ mod tests {
         let h = d.histogram("h").unwrap();
         assert_eq!((h.count, h.sum), (4, 40));
         assert!(h.p99 < 16, "the slow pre-interval sample is not in the interval: {}", h.p99);
+        assert_eq!(h.max, 15, "the interval max stays inside the interval's top bucket");
         // A metric the baseline lacks counts from zero.
         let empty = MetricsSnapshot::default();
         assert_eq!(after.since(&empty).counter("c"), Some(12));

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use sias_common::{SiasError, SiasResult, PAGE_SIZE};
 
-use super::{Device, DeviceEnv, DeviceStats, Raid0};
+use super::{Device, DeviceEnv, DeviceRef, DeviceStats, Raid0};
 use crate::trace::{IoDir, TraceEvent};
 
 /// `O_DIRECT` on Linux (x86_64/aarch64). `std` does not re-export it
@@ -105,13 +105,9 @@ impl FileDevice {
     ) -> SiasResult<Raid0> {
         assert!(!paths.is_empty(), "stripe set needs at least one path");
         let per_member = capacity_pages.div_ceil(paths.len() as u64);
-        let mut members: Vec<Arc<dyn Device>> = Vec::with_capacity(paths.len());
-        for (i, p) in paths.iter().enumerate() {
-            let mut e = env.clone();
-            e.device_id = e.device_id.wrapping_add(i as u16);
-            members.push(Arc::new(FileDevice::open(p, per_member, e)?));
-        }
-        Ok(Raid0::new(members))
+        Raid0::new(paths.len(), &env, |i, e| {
+            Ok(Arc::new(FileDevice::open(&paths[i], per_member, e)?) as DeviceRef)
+        })
     }
 
     /// Device with a fresh environment (tests, benches).

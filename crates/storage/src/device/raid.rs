@@ -9,22 +9,38 @@
 //! stripe forwards the fallible calls, TRIM and the durability barrier
 //! to whichever member owns the page.
 
-use std::sync::Arc;
-
 use sias_common::SiasResult;
 
-use super::{Device, DeviceStats};
+use super::{Device, DeviceCounters, DeviceEnv, DeviceRef, DeviceStats};
 
 /// A stripe set over homogeneous member devices.
 pub struct Raid0 {
-    members: Vec<Arc<dyn Device>>,
+    members: Vec<DeviceRef>,
+    /// The set every member counts into.
+    counters: DeviceCounters,
 }
 
 impl Raid0 {
-    /// Builds a stripe set. Panics when `members` is empty.
-    pub fn new(members: Vec<Arc<dyn Device>>) -> Self {
-        assert!(!members.is_empty(), "RAID-0 needs at least one member");
-        Raid0 { members }
+    /// Builds a stripe of `width` members. `member(i, env_i)` makes
+    /// member `i` on `env_i`: `env` with `device_id` advanced by `i`, so
+    /// every member shares `env`'s clock, trace and counters and the
+    /// stripe's [`Device::stats`] is one read of `env.counters`. Panics
+    /// when `width` is zero.
+    pub fn new(
+        width: usize,
+        env: &DeviceEnv,
+        mut member: impl FnMut(usize, DeviceEnv) -> SiasResult<DeviceRef>,
+    ) -> SiasResult<Self> {
+        assert!(width > 0, "RAID-0 needs at least one member");
+        let members = (0..width)
+            .map(|i| {
+                member(
+                    i,
+                    DeviceEnv { device_id: env.device_id.wrapping_add(i as u16), ..env.clone() },
+                )
+            })
+            .collect::<SiasResult<_>>()?;
+        Ok(Raid0 { members, counters: env.counters.clone() })
     }
 
     /// Number of member devices.
@@ -77,35 +93,23 @@ impl Device for Raid0 {
         Ok(())
     }
 
-    /// Members count into one shared [`DeviceCounters`] set (built
-    /// from one [`DeviceEnv`]), so any member's read is the stripe's.
-    ///
-    /// [`DeviceCounters`]: super::DeviceCounters
-    /// [`DeviceEnv`]: super::DeviceEnv
     fn stats(&self) -> DeviceStats {
-        self.members[0].stats()
+        self.counters.read()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::{DeviceEnv, FlashConfig, FlashDevice};
+    use crate::device::{FlashConfig, FlashDevice};
     use sias_common::PAGE_SIZE;
+    use std::sync::Arc;
 
     fn raid(n: usize) -> (Raid0, DeviceEnv) {
         let env = DeviceEnv::fresh();
-        let members: Vec<Arc<dyn Device>> = (0..n)
-            .map(|i| {
-                let mut e = env.clone();
-                e.device_id = i as u16;
-                Arc::new(FlashDevice::new(
-                    FlashConfig { capacity_pages: 4096, ..Default::default() },
-                    e,
-                )) as Arc<dyn Device>
-            })
-            .collect();
-        (Raid0::new(members), env)
+        let flash = FlashConfig { capacity_pages: 4096, ..Default::default() };
+        let r = Raid0::new(n, &env, |_, e| Ok(Arc::new(FlashDevice::new(flash, e)) as DeviceRef));
+        (r.unwrap(), env)
     }
 
     #[test]

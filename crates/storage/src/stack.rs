@@ -20,7 +20,7 @@ use sias_obs::{Gauge, Registry};
 
 use crate::buffer::BufferPool;
 use crate::device::{
-    Device, DeviceCounters, DeviceEnv, FaultPlan, FaultyDevice, FileDevice, FlashConfig,
+    Device, DeviceCounters, DeviceEnv, DeviceRef, FaultPlan, FaultyDevice, FileDevice, FlashConfig,
     FlashDevice, HddConfig, HddDevice, MemDevice, Raid0, RetryBudget, RetryClock,
 };
 use crate::health::Health;
@@ -390,18 +390,16 @@ impl StorageStack {
         let data: Arc<dyn Device> = match &cfg.media {
             Media::Mem => Arc::new(MemDevice::new(cfg.capacity_pages, env)),
             Media::SsdRaid { members, flash } => {
-                let devs: Vec<Arc<dyn Device>> = (0..*members)
-                    .map(|i| {
-                        Arc::new(FlashDevice::new(
-                            FlashConfig { capacity_pages: cfg.capacity_pages, ..*flash },
-                            DeviceEnv { device_id: i as u16, ..env.clone() },
-                        )) as Arc<dyn Device>
-                    })
-                    .collect();
-                if devs.len() == 1 {
-                    devs.into_iter().next().unwrap()
+                let flash = FlashConfig { capacity_pages: cfg.capacity_pages, ..*flash };
+                if *members == 1 {
+                    Arc::new(FlashDevice::new(flash, env))
                 } else {
-                    Arc::new(Raid0::new(devs))
+                    Arc::new(
+                        Raid0::new(*members, &env, |_, e| {
+                            Ok(Arc::new(FlashDevice::new(flash, e)) as DeviceRef)
+                        })
+                        .expect("simulated members open infallibly"),
+                    )
                 }
             }
             Media::Hdd(h) => Arc::new(HddDevice::new(

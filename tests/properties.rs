@@ -168,7 +168,7 @@ proptest! {
         let space = std::sync::Arc::new(sias::storage::Tablespace::new(1 << 16));
         let pool = sias::storage::BufferPool::new(64, dev, space);
         map.save_to(&pool, sias::common::RelId(42)).unwrap();
-        let restored = VidMap::load_from(&pool, sias::common::RelId(42), Default::default()).unwrap();
+        let restored = VidMap::load_from(&pool, sias::common::RelId(42)).unwrap();
         prop_assert_eq!(restored.vid_bound(), map.vid_bound());
         for i in 0..slots.len() as u64 {
             prop_assert_eq!(restored.get(Vid(i)), map.get(Vid(i)));

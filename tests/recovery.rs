@@ -80,7 +80,7 @@ fn shutdown_persists_vidmap_for_reload() {
     let (db, rel) = populated_db();
     db.shutdown().unwrap();
     let map_rel = RelId(rel.0 + 2);
-    let restored = VidMap::load_from(&db.stack().pool, map_rel, Default::default()).unwrap();
+    let restored = VidMap::load_from(&db.stack().pool, map_rel).unwrap();
     let handle = db.relation_handle(rel).unwrap();
     assert_eq!(restored.vid_bound(), handle.vidmap.vid_bound());
     let mut mismatches = 0;
