@@ -15,62 +15,43 @@
 //! cargo run --release -p sias-bench --bin ablation_threshold [-- --wh 25 --duration 300]
 //! ```
 
-use sias_bench::{arg_value, write_results, ObsArgs, EXPERIMENT_POOL_FRAMES};
-use sias_core::{FlushPolicy, SiasDb};
-use sias_obs::MetricsSnapshot;
-use sias_storage::StorageConfig;
-use sias_txn::MvccEngine;
-use sias_workload::{load, run_benchmark, DriverConfig, TpccConfig};
-
-fn run(
-    policy: FlushPolicy,
-    bg_ms: u64,
-    wh: u32,
-    duration: u64,
-    pool: usize,
-) -> (f64, u64, MetricsSnapshot) {
-    let storage = StorageConfig::ssd().with_pool_frames(pool).with_capacity_pages(1 << 17);
-    let db = SiasDb::open_with_policy(storage, policy);
-    let cfg = TpccConfig::scaled(wh);
-    let tables = load(&db, &cfg).expect("load");
-    db.maintenance(true);
-    let (device_before, metrics_before) = (db.stack().data.stats(), db.metrics_snapshot());
-    let mut dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
-    dcfg.bgwriter_interval_ms = bg_ms;
-    run_benchmark(&db, &tables, &cfg, &dcfg, &db.stack().clock).expect("bench");
-    let space: u64 = {
-        let space = &db.stack().space;
-        space.relations().iter().map(|&r| space.relation_blocks(r) as u64).sum()
-    };
-    let written = (db.stack().data.stats() - device_before).host_write_mb();
-    (written, space, db.metrics_snapshot().since(&metrics_before))
-}
+use sias_bench::report::{num, Report};
+use sias_bench::{run_cell, Args, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES};
+use sias_workload::DriverConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let wh: u32 = arg_value(&args, "--wh").and_then(|v| v.parse().ok()).unwrap_or(25);
-    let duration: u64 = arg_value(&args, "--duration").and_then(|v| v.parse().ok()).unwrap_or(300);
-    let pool: usize =
-        arg_value(&args, "--pool").and_then(|v| v.parse().ok()).unwrap_or(EXPERIMENT_POOL_FRAMES);
-
-    println!("Ablation: append-page flush threshold (SIAS, {wh} WH, {duration}s, SSD)\n");
-    println!("{:<28} {:>12} {:>12}", "policy", "writes (MB)", "space (pages)");
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
+    let wh: u32 = args.get("--wh", 25);
+    let duration: u64 = args.get("--duration", 300);
+    let pool: usize = args.get("--pool", EXPERIMENT_POOL_FRAMES);
+
+    // Append-page flush threshold: t1 at six bgwriter cadences, then t2.
+    let mut report = Report::new(
+        "ablation_threshold",
+        vec![("warehouses", wh.into()), ("duration_s", duration.into()), ("pool", pool.into())],
+    );
     let mut mruns = Vec::new();
-    let mut csv = String::from("policy,write_mb,space_pages\n");
-    for &bg_ms in &[50u64, 100, 200, 500, 1000, 2000] {
-        let (mb, space, metrics) = run(FlushPolicy::T1, bg_ms, wh, duration, pool);
-        println!("{:<28} {:>12.1} {:>12}", format!("t1 (bgwriter every {bg_ms} ms)"), mb, space);
-        csv.push_str(&format!("t1-{bg_ms}ms,{mb:.2},{space}\n"));
-        mruns.push((format!("t1-{bg_ms}ms"), metrics));
+    let cells =
+        [50u64, 100, 200, 500, 1000, 2000].map(|ms| (format!("t1-{ms}ms"), EngineKind::SiasT1, ms));
+    // t2 runs at the driver's default 200 ms bgwriter cadence.
+    for (policy, kind, bg_ms) in
+        cells.into_iter().chain([("t2".to_string(), EngineKind::SiasT2, 200)])
+    {
+        let mut dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
+        dcfg.bgwriter_interval_ms = bg_ms;
+        let cell = run_cell(kind, Testbed::Ssd.storage(pool), wh, &dcfg);
+        assert_eq!(cell.violations, 0, "consistency");
+        report.row(
+            "rows",
+            vec![
+                ("policy", policy.clone().into()),
+                ("write_mb", num(cell.device.host_write_mb(), 2)),
+                ("space_pages", cell.space_pages.into()),
+            ],
+        );
+        mruns.push((policy, cell.metrics));
     }
-    let (mb, space, metrics) = run(FlushPolicy::T2, 200, wh, duration, pool);
-    println!("{:<28} {:>12.1} {:>12}", "t2 (checkpoint piggy-back)", mb, space);
-    csv.push_str(&format!("t2,{mb:.2},{space}\n"));
-    mruns.push(("t2".to_string(), metrics));
-    let path = write_results("ablation_threshold.csv", &csv);
-    println!("\nwrote {}", path.display());
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    report.write_csv("ablation_threshold.csv");
+    obs_args.dump_metrics(&mruns);
 }

@@ -16,7 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sias_bench::{arg_value, build, write_results, EngineKind, ObsArgs, Testbed};
+use sias_bench::report::{num, Report};
+use sias_bench::{build, Args, EngineKind, ObsArgs, Testbed};
 use sias_obs::MetricsSnapshot;
 
 /// Runs `ops` point operations with the given update share; returns the
@@ -60,27 +61,31 @@ fn run(kind: EngineKind, items: u64, ops: u64, update_pct: u32) -> (f64, Metrics
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let items: u64 = arg_value(&args, "--items").and_then(|v| v.parse().ok()).unwrap_or(20_000);
-    let ops: u64 = arg_value(&args, "--ops").and_then(|v| v.parse().ok()).unwrap_or(200_000);
-
-    println!("Ablation: device writes vs. update share ({items} items, {ops} uniform point ops)\n");
-    println!("{:>9} {:>12} {:>12} {:>10}", "updates", "SI (MB)", "SIAS (MB)", "reduction");
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
+    let items: u64 = args.get("--items", 20_000);
+    let ops: u64 = args.get("--ops", 200_000);
+
+    // Device writes vs. update share, uniform point ops.
+    let mut report =
+        Report::new("ablation_update_ratio", vec![("items", items.into()), ("ops", ops.into())]);
     let mut mruns = Vec::new();
-    let mut csv = String::from("update_pct,si_write_mb,sias_write_mb,reduction_pct\n");
     for pct in [0u32, 5, 20, 50, 80, 100] {
         let (si, si_metrics) = run(EngineKind::Si, items, ops, pct);
         let (sias, sias_metrics) = run(EngineKind::SiasT2, items, ops, pct);
         mruns.push((format!("SI/{pct}pct"), si_metrics));
         mruns.push((format!("SIAS-t2/{pct}pct"), sias_metrics));
         let red = if si > 0.0 { 100.0 * (1.0 - sias / si) } else { 0.0 };
-        println!("{:>8}% {:>12.1} {:>12.1} {:>9.0}%", pct, si, sias, red);
-        csv.push_str(&format!("{pct},{si:.2},{sias:.2},{red:.1}\n"));
+        report.row(
+            "rows",
+            vec![
+                ("update_pct", pct.into()),
+                ("si_write_mb", num(si, 2)),
+                ("sias_write_mb", num(sias, 2)),
+                ("reduction_pct", num(red, 1)),
+            ],
+        );
     }
-    let path = write_results("ablation_update_ratio.csv", &csv);
-    println!("\nwrote {}", path.display());
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    report.write_csv("ablation_update_ratio.csv");
+    obs_args.dump_metrics(&mruns);
 }

@@ -15,15 +15,21 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::path::Path;
 
-use sias_bench::{
-    arg_value, build, write_results, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES,
-};
+use sias_bench::report::{num, write_file, Report};
+use sias_bench::{build, Args, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES};
 use sias_obs::MetricsSnapshot;
 use sias_storage::IoDir;
 use sias_workload::{load, run_benchmark, DriverConfig, TpccConfig};
 
-fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnapshot {
+fn run_one(
+    report: &mut Report,
+    kind: EngineKind,
+    wh: u32,
+    duration: u64,
+    pool: usize,
+) -> MetricsSnapshot {
     let any = build(kind, Testbed::Ssd, pool);
     let engine = any.engine();
     let cfg = TpccConfig::scaled(wh);
@@ -40,69 +46,60 @@ fn run_one(kind: EngineKind, wh: u32, duration: u64, pool: usize) -> MetricsSnap
     let events = stack.trace.events();
     let device = stack.data.stats() - device_before;
     let (reads, writes_total) = (device.host_read_pages, device.host_write_pages);
-    let total_ops = (reads + writes_total) as f64;
-    let write_lbas: BTreeSet<u64> =
-        events.iter().filter(|e| e.dir == IoDir::Write).map(|e| e.lba).collect();
-    let read_lbas: BTreeSet<u64> =
-        events.iter().filter(|e| e.dir == IoDir::Read).map(|e| e.lba).collect();
+    let pct = |n: u64| num(100.0 * n as f64 / (reads + writes_total) as f64, 1);
+    let lbas = |dir: IoDir| events.iter().filter(move |e| e.dir == dir).map(|e| e.lba);
     // The append-storage signature: SIAS writes each page (at most) once
     // — monotonically growing append regions — while SI re-writes hot
     // pages over and over (in-place invalidation + bgwriter rounds).
-    let writes: Vec<u64> = events.iter().filter(|e| e.dir == IoDir::Write).map(|e| e.lba).collect();
-    let rewrite_ratio =
-        if write_lbas.is_empty() { 0.0 } else { writes.len() as f64 / write_lbas.len() as f64 };
-
-    let figure = match kind {
-        EngineKind::Si => "figure4_si",
-        _ => "figure3_sias",
+    let (write_ops, write_lbas) =
+        (lbas(IoDir::Write).count(), lbas(IoDir::Write).collect::<BTreeSet<_>>().len());
+    let rewrite_ratio = if write_lbas == 0 { 0.0 } else { write_ops as f64 / write_lbas as f64 };
+    let (figure, label) = match kind {
+        EngineKind::Si => ("figure4_si", "SI"),
+        _ => ("figure3_sias", "SIAS"),
     };
-    let label = match kind {
-        EngineKind::Si => "SI",
-        _ => "SIAS",
-    };
-    println!("--- {label} blocktrace ({wh} WH, {duration}s, SSD) ---");
-    println!("NOTPM {:.0}", bench.notpm);
-    println!(
-        "ops: {} reads ({:.1}%), {} writes ({:.1}%)",
-        reads,
-        100.0 * reads as f64 / total_ops,
-        writes_total,
-        100.0 * writes_total as f64 / total_ops
+    report.row(
+        "patterns",
+        vec![
+            ("engine", label.into()),
+            ("notpm", num(bench.notpm, 0)),
+            ("reads", reads.into()),
+            ("read_pct", pct(reads)),
+            ("writes", writes_total.into()),
+            ("write_pct", pct(writes_total)),
+            ("read_mb", num(device.host_read_mb(), 1)),
+            ("write_mb", num(device.host_write_mb(), 1)),
+            ("write_ops", write_ops.into()),
+            ("write_lbas", write_lbas.into()),
+            ("writes_per_page", num(rewrite_ratio, 2)),
+            ("read_lbas", lbas(IoDir::Read).collect::<BTreeSet<_>>().len().into()),
+        ],
     );
-    println!(
-        "volume: {:.1} MB read, {:.1} MB written",
-        device.host_read_mb(),
-        device.host_write_mb()
-    );
-    println!(
-        "write locality: {} write ops over {} distinct LBAs — {:.2} writes/page",
-        writes.len(),
-        write_lbas.len(),
-        rewrite_ratio
-    );
-    println!("read spread: {} distinct LBAs", read_lbas.len());
-    let path = write_results(&format!("{figure}.csv"), &stack.trace.to_csv());
-    println!("wrote {}\n", path.display());
+    let path =
+        write_file(&Path::new("results").join(format!("{figure}.csv")), &stack.trace.to_csv());
+    println!("wrote {}", path.display());
     engine.metrics_snapshot().since(&metrics_before)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let wh: u32 = arg_value(&args, "--wh").and_then(|v| v.parse().ok()).unwrap_or(50);
-    let duration: u64 = arg_value(&args, "--duration").and_then(|v| v.parse().ok()).unwrap_or(300);
-    let pool: usize =
-        arg_value(&args, "--pool").and_then(|v| v.parse().ok()).unwrap_or(EXPERIMENT_POOL_FRAMES);
-    let engines: Vec<EngineKind> = match arg_value(&args, "--engine").as_deref() {
-        Some(e) => vec![EngineKind::parse(e).expect("--engine sias|si")],
+    let args = Args::from_env();
+    let obs_args = ObsArgs::parse(&args);
+    let wh: u32 = args.get("--wh", 50);
+    let duration: u64 = args.get("--duration", 300);
+    let pool: usize = args.get("--pool", EXPERIMENT_POOL_FRAMES);
+    let engines = match args.read("--engine", |e| EngineKind::parse(e).ok_or(())) {
+        Some(kind) => vec![kind],
         None => vec![EngineKind::SiasT2, EngineKind::Si],
     };
-    let obs_args = ObsArgs::parse(&args);
-    let mut mruns = Vec::new();
-    for kind in engines {
-        let metrics = run_one(kind, wh, duration, pool);
-        mruns.push((kind.label().to_string(), metrics));
-    }
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    // Block-trace pattern statistics on a single SSD; the scatter data
+    // goes to one CSV per engine.
+    let mut report = Report::new(
+        "blocktrace",
+        vec![("warehouses", wh.into()), ("duration_s", duration.into()), ("pool", pool.into())],
+    );
+    let mruns: Vec<_> = engines
+        .into_iter()
+        .map(|kind| (kind.label().to_string(), run_one(&mut report, kind, wh, duration, pool)))
+        .collect();
+    obs_args.dump_metrics(&mruns);
 }

@@ -46,32 +46,28 @@ use sias_obs::export;
 use sias_storage::FaultConfig;
 use sias_workload::chaos::{self, ChaosConfig, Scenario};
 
-use sias_bench::{arg_value, write_results, ObsArgs};
-
-/// The value following `--name`, parsed, or `default`.
-fn num<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    arg_value(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
-}
+use sias_bench::report::write_file;
+use sias_bench::{Args, ObsArgs};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let seeds: u64 = num(&args, "--seeds", 8);
-    let (hostile, plant_bug, ssi) = (flag("--hostile"), flag("--plant-bug"), flag("--ssi"));
+    let seeds: u64 = args.get("--seeds", 8);
+    let (hostile, plant_bug, ssi) =
+        (args.flag("--hostile"), args.flag("--plant-bug"), args.flag("--ssi"));
     // Under --hostile, default to a working set the 48-frame chaos pool
     // cannot cache, large enough that every seed's faulty device injects
     // faults (the sweep's gate fails a seed that saw none).
     let (default_txns, default_keys) = if hostile { (400, 2000) } else { (48, 12) };
-    let txns: usize = num(&args, "--txns", default_txns);
-    let keys: u64 = num(&args, "--keys", default_keys);
-    let terminals: usize = num(&args, "--terminals", 4);
+    let txns: usize = args.get("--txns", default_txns);
+    let keys: u64 = args.get("--keys", default_keys);
+    let terminals: usize = args.get("--terminals", 4);
 
     // Per mode: the header, the runs of one seed as (serializable,
     // scenario), what a failure counts, and the line a pass prints.
-    let (header, runs, noun, pass) = if flag("--enospc") {
+    let (header, runs, noun, pass) = if args.flag("--enospc") {
         let (quota_pages, low_watermark_pct) =
-            (num(&args, "--quota-pages", 24), num(&args, "--low-watermark", 50));
+            (args.get("--quota-pages", 24), args.get("--low-watermark", 50));
         (
             format!(
                 "ENOSPC gate: {seeds} seeds, {quota_pages}-page WAL quota, \
@@ -82,15 +78,15 @@ fn main() {
             "every full-log run degraded to typed read-only, kept serving reads, \
              reclaimed space and healed with zero anomalies",
         )
-    } else if flag("--skew") {
-        let pairs = num(&args, "--pairs", 4);
+    } else if args.flag("--skew") {
+        let pairs = args.get("--pairs", 4);
         (
             format!("Write-skew gate: {seeds} seeds, {pairs} constraint pairs per run"),
             vec![(false, Scenario::WriteSkew { pairs }), (true, Scenario::WriteSkew { pairs })],
             "write-skew gate failures",
             "SI saw every planted skew as G2; SSI aborted one pivot per pair, zero G2",
         )
-    } else if flag("--gc") {
+    } else if args.flag("--gc") {
         let points = [
             GcCrashPoint::AfterRelocationAppend,
             GcCrashPoint::AfterCasPublish,
@@ -105,8 +101,8 @@ fn main() {
             "GC crash-gate failures",
             "every mid-relocation crash recovered with zero anomalies and no lost versions",
         )
-    } else if flag("--scrub") {
-        let rot_pages = num(&args, "--rot-pages", 3);
+    } else if args.flag("--scrub") {
+        let rot_pages = args.get("--rot-pages", 3);
         (
             format!(
                 "Scrub matrix: {seeds} seeds, {rot_pages} rotted pages per run, \
@@ -117,7 +113,7 @@ fn main() {
             "every rotted page was detected, repaired and reclaimed; histories stayed clean",
         )
     } else {
-        let every = num(&args, "--crash-every", 16);
+        let every = args.get("--crash-every", 16);
         (
             format!(
                 "Crash matrix: {seeds} seeds, crash every {every} records, {txns} txns \
@@ -180,8 +176,10 @@ fn main() {
             if !report.violations.is_empty() {
                 let stem = format!("TRACE_crashmatrix_seed{seed}");
                 let events = &report.trace_events;
-                let p = write_results(&format!("{stem}.jsonl"), &export::to_jsonl(events));
-                write_results(&format!("{stem}.chrome.json"), &export::to_chrome_trace(events));
+                let path =
+                    |ext: &str| std::path::Path::new("results").join(format!("{stem}.{ext}"));
+                let p = write_file(&path("jsonl"), &export::to_jsonl(events));
+                write_file(&path("chrome.json"), &export::to_chrome_trace(events));
                 println!("    flight recorder: dumped {} events to {}", events.len(), p.display());
             }
             snaps.push((format!("seed{seed}"), report.metrics));
@@ -189,12 +187,8 @@ fn main() {
         }
     }
 
-    if let Some((p, c)) = obs_args.dump_trace(&last_trace) {
-        println!("wrote {} and {}", p.display(), c.display());
-    }
-    if let Some(p) = obs_args.dump_metrics(&snaps) {
-        println!("wrote {}", p.display());
-    }
+    obs_args.dump_trace(&last_trace);
+    obs_args.dump_metrics(&snaps);
     // Under --plant-bug violations are the point; gate failures still
     // count.
     if plant_bug && !caught_planted_bug {

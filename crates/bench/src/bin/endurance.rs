@@ -16,10 +16,10 @@
 //! cargo run --release -p sias-bench --bin endurance [-- --wh 20 --duration 300]
 //! ```
 
-use sias_bench::{arg_value, build_on, write_results, EngineKind, ObsArgs};
-use sias_obs::MetricsSnapshot;
-use sias_storage::{DeviceStats, FlashConfig, Media, StorageConfig};
-use sias_workload::{load, run_benchmark, DriverConfig, TpccConfig};
+use sias_bench::report::{num, Report};
+use sias_bench::{run_cell, Args, EngineKind, ObsArgs};
+use sias_storage::{FlashConfig, Media, StorageConfig};
+use sias_workload::DriverConfig;
 
 fn small_ssd() -> StorageConfig {
     // A tight device: little spare capacity, so sustained write traffic
@@ -46,58 +46,35 @@ fn small_ssd() -> StorageConfig {
     }
 }
 
-/// Device and engine counters over the measured interval.
-fn run(kind: EngineKind, wh: u32, duration: u64) -> (DeviceStats, MetricsSnapshot) {
-    let any = build_on(kind, small_ssd());
-    let (db, stack) = (any.engine(), any.stack());
-    let cfg = TpccConfig::scaled(wh);
-    let tables = load(db, &cfg).expect("load");
-    db.maintenance(true);
-    let (device_before, metrics_before) = (stack.data.stats(), db.metrics_snapshot());
-    let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
-    run_benchmark(db, &tables, &cfg, &dcfg, &stack.clock).expect("bench");
-    (stack.data.stats() - device_before, db.metrics_snapshot().since(&metrics_before))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let wh: u32 = arg_value(&args, "--wh").and_then(|v| v.parse().ok()).unwrap_or(20);
-    let duration: u64 = arg_value(&args, "--duration").and_then(|v| v.parse().ok()).unwrap_or(300);
-
-    println!("Ablation: Flash endurance on a 256 MiB SSD ({wh} WH, {duration}s)\n");
-    println!(
-        "{:<10} {:>12} {:>14} {:>8} {:>8}",
-        "engine", "host writes", "FTL relocs", "erases", "WA"
-    );
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
+    let wh: u32 = args.get("--wh", 20);
+    let duration: u64 = args.get("--duration", 300);
+
+    // Flash endurance on a 256 MiB SSD.
+    let mut report =
+        Report::new("endurance", vec![("warehouses", wh.into()), ("duration_s", duration.into())]);
     let mut mruns = Vec::new();
-    let mut csv =
-        String::from("engine,host_write_pages,internal_write_pages,erases,write_amplification\n");
+    let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
     for kind in [EngineKind::Si, EngineKind::SiasT1, EngineKind::SiasT2] {
-        let (s, metrics) = run(kind, wh, duration);
-        mruns.push((kind.label().to_string(), metrics));
-        println!(
-            "{:<10} {:>12} {:>14} {:>8} {:>8.2}",
-            kind.label(),
-            s.host_write_pages,
-            s.internal_write_pages,
-            s.erases,
-            s.write_amplification()
+        let cell = run_cell(kind, small_ssd(), wh, &dcfg);
+        assert_eq!(cell.violations, 0, "consistency");
+        let s = cell.device;
+        report.row(
+            "rows",
+            vec![
+                ("engine", kind.label().into()),
+                ("host_write_pages", s.host_write_pages.into()),
+                ("internal_write_pages", s.internal_write_pages.into()),
+                ("erases", s.erases.into()),
+                ("write_amplification", num(s.write_amplification(), 3)),
+            ],
         );
-        csv.push_str(&format!(
-            "{},{},{},{},{:.3}\n",
-            kind.label(),
-            s.host_write_pages,
-            s.internal_write_pages,
-            s.erases,
-            s.write_amplification()
-        ));
+        mruns.push((kind.label().to_string(), cell.metrics));
     }
-    let path = write_results("endurance.csv", &csv);
-    println!("\nwrote {}", path.display());
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    report.write_csv("endurance.csv");
+    obs_args.dump_metrics(&mruns);
     println!("\nWear ∝ erases; SIAS's append pattern needs fewer host writes *and*");
     println!("amplifies each one less — the §6 endurance argument, quantified.");
 }

@@ -8,67 +8,41 @@
 //! cargo run --release -p sias-bench --bin figure5 [-- --whs 10,25,50,100,150,200 --duration 120]
 //! ```
 
-use sias_bench::{
-    arg_value, run_cell, write_results, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES,
-};
+use sias_bench::report::{num, Report};
+use sias_bench::{run_cell, Args, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES};
+use sias_workload::DriverConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
     let mut mruns = Vec::new();
-    let whs: Vec<u32> = arg_value(&args, "--whs")
-        .map(|v| v.split(',').filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![25, 50, 100, 200, 300, 400, 500]);
-    let duration: u64 = arg_value(&args, "--duration").and_then(|v| v.parse().ok()).unwrap_or(120);
-    let pool: usize =
-        arg_value(&args, "--pool").and_then(|v| v.parse().ok()).unwrap_or(EXPERIMENT_POOL_FRAMES);
+    let whs: Vec<u32> = args.list("--whs", vec![25, 50, 100, 200, 300, 400, 500]);
+    let duration: u64 = args.get("--duration", 120);
+    let pool: usize = args.get("--pool", EXPERIMENT_POOL_FRAMES);
 
-    println!("Figure 5: TPC-C on a two-SSD RAID-0 (throughput in NOTPM, response time in s)\n");
-    println!(
-        "{:>5} {:>12} {:>12} {:>8} {:>12} {:>12} {:>10}",
-        "WH", "SI NOTPM", "SIAS NOTPM", "gain", "SI resp(s)", "SIAS resp(s)", "SI/SIAS"
-    );
-    let mut csv =
-        String::from("warehouses,si_notpm,sias_notpm,si_resp_s,sias_resp_s,si_p90_s,sias_p90_s\n");
+    // Figure 5: TPC-C on a two-SSD RAID-0 (NOTPM, response time in s).
+    let mut report =
+        Report::new("figure5", vec![("duration_s", duration.into()), ("pool", pool.into())]);
     for &wh in &whs {
-        let si = run_cell(EngineKind::Si, Testbed::SsdRaid2, wh, duration, pool);
-        let sias = run_cell(EngineKind::SiasT2, Testbed::SsdRaid2, wh, duration, pool);
+        let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
+        let si = run_cell(EngineKind::Si, Testbed::SsdRaid2.storage(pool), wh, &dcfg);
+        let sias = run_cell(EngineKind::SiasT2, Testbed::SsdRaid2.storage(pool), wh, &dcfg);
         assert_eq!(si.violations + sias.violations, 0);
         mruns.push((format!("SI/{wh}wh"), si.metrics.clone()));
         mruns.push((format!("SIAS-t2/{wh}wh"), sias.metrics.clone()));
-        let gain = if si.bench.notpm > 0.0 {
-            100.0 * (sias.bench.notpm / si.bench.notpm - 1.0)
-        } else {
-            0.0
-        };
-        let ratio = if sias.bench.avg_response_s > 0.0 {
-            si.bench.avg_response_s / sias.bench.avg_response_s
-        } else {
-            0.0
-        };
-        println!(
-            "{:>5} {:>12.0} {:>12.0} {:>7.0}% {:>12.3} {:>12.3} {:>9.1}x",
-            wh,
-            si.bench.notpm,
-            sias.bench.notpm,
-            gain,
-            si.bench.avg_response_s,
-            sias.bench.avg_response_s,
-            ratio
+        report.row(
+            "rows",
+            vec![
+                ("warehouses", wh.into()),
+                ("si_notpm", num(si.bench.notpm, 1)),
+                ("sias_notpm", num(sias.bench.notpm, 1)),
+                ("si_resp_s", num(si.bench.avg_response_s, 4)),
+                ("sias_resp_s", num(sias.bench.avg_response_s, 4)),
+                ("si_p90_s", num(si.bench.p90_response_s, 4)),
+                ("sias_p90_s", num(sias.bench.p90_response_s, 4)),
+            ],
         );
-        csv.push_str(&format!(
-            "{wh},{:.1},{:.1},{:.4},{:.4},{:.4},{:.4}\n",
-            si.bench.notpm,
-            sias.bench.notpm,
-            si.bench.avg_response_s,
-            sias.bench.avg_response_s,
-            si.bench.p90_response_s,
-            sias.bench.p90_response_s
-        ));
     }
-    let path = write_results("figure5.csv", &csv);
-    println!("\nwrote {}", path.display());
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    report.write_csv("figure5.csv");
+    obs_args.dump_metrics(&mruns);
 }

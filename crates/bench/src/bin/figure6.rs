@@ -11,65 +11,39 @@
 //! cargo run --release -p sias-bench --bin figure6 [-- --whs 25,50,100,200,300,400,500 --duration 120]
 //! ```
 
-use sias_bench::{
-    arg_value, run_cell, write_results, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES,
-};
+use sias_bench::report::{num, Report};
+use sias_bench::{run_cell, Args, EngineKind, ObsArgs, Testbed, EXPERIMENT_POOL_FRAMES};
+use sias_workload::DriverConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
     let mut mruns = Vec::new();
-    let whs: Vec<u32> = arg_value(&args, "--whs")
-        .map(|v| v.split(',').filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![50, 100, 200, 300, 400, 500, 600, 700]);
-    let duration: u64 = arg_value(&args, "--duration").and_then(|v| v.parse().ok()).unwrap_or(120);
-    let pool: usize =
-        arg_value(&args, "--pool").and_then(|v| v.parse().ok()).unwrap_or(EXPERIMENT_POOL_FRAMES);
+    let whs: Vec<u32> = args.list("--whs", vec![50, 100, 200, 300, 400, 500, 600, 700]);
+    let duration: u64 = args.get("--duration", 120);
+    let pool: usize = args.get("--pool", EXPERIMENT_POOL_FRAMES);
 
-    println!("Figure 6: TPC-C on six SSDs in software RAID-0\n");
-    println!(
-        "{:>5} {:>12} {:>12} {:>12} {:>12}",
-        "WH", "SI NOTPM", "SIAS NOTPM", "SI resp(s)", "SIAS resp(s)"
-    );
-    let mut rows = Vec::new();
-    let mut csv = String::from("warehouses,si_notpm,sias_notpm,si_resp_s,sias_resp_s\n");
+    // Figure 6: TPC-C on six SSDs in software RAID-0.
+    let mut report =
+        Report::new("figure6", vec![("duration_s", duration.into()), ("pool", pool.into())]);
     for &wh in &whs {
-        let si = run_cell(EngineKind::Si, Testbed::SsdRaid6, wh, duration, pool);
-        let sias = run_cell(EngineKind::SiasT2, Testbed::SsdRaid6, wh, duration, pool);
+        let dcfg = DriverConfig::for_warehouses(wh).with_duration(duration);
+        let si = run_cell(EngineKind::Si, Testbed::SsdRaid6.storage(pool), wh, &dcfg);
+        let sias = run_cell(EngineKind::SiasT2, Testbed::SsdRaid6.storage(pool), wh, &dcfg);
         assert_eq!(si.violations + sias.violations, 0);
         mruns.push((format!("SI/{wh}wh"), si.metrics.clone()));
         mruns.push((format!("SIAS-t2/{wh}wh"), sias.metrics.clone()));
-        println!(
-            "{:>5} {:>12.0} {:>12.0} {:>12.3} {:>12.3}",
-            wh,
-            si.bench.notpm,
-            sias.bench.notpm,
-            si.bench.avg_response_s,
-            sias.bench.avg_response_s
-        );
-        csv.push_str(&format!(
-            "{wh},{:.1},{:.1},{:.4},{:.4}\n",
-            si.bench.notpm, sias.bench.notpm, si.bench.avg_response_s, sias.bench.avg_response_s
-        ));
-        rows.push((wh, si.bench.notpm, sias.bench.notpm));
-    }
-    // Peak summary, like the paper's prose.
-    if let (Some(si_peak), Some(sias_peak)) = (
-        rows.iter().max_by(|a, b| a.1.total_cmp(&b.1)),
-        rows.iter().max_by(|a, b| a.2.total_cmp(&b.2)),
-    ) {
-        println!(
-            "\nSI peak:   {:.0} NOTPM at {} WH\nSIAS peak: {:.0} NOTPM at {} WH ({:+.0}% vs SI peak)",
-            si_peak.1,
-            si_peak.0,
-            sias_peak.2,
-            sias_peak.0,
-            100.0 * (sias_peak.2 / si_peak.1 - 1.0)
+        report.row(
+            "rows",
+            vec![
+                ("warehouses", wh.into()),
+                ("si_notpm", num(si.bench.notpm, 1)),
+                ("sias_notpm", num(sias.bench.notpm, 1)),
+                ("si_resp_s", num(si.bench.avg_response_s, 4)),
+                ("sias_resp_s", num(sias.bench.avg_response_s, 4)),
+            ],
         );
     }
-    let path = write_results("figure6.csv", &csv);
-    println!("\nwrote {}", path.display());
-    if let Some(p) = obs_args.dump_metrics(&mruns) {
-        println!("wrote metrics to {}", p.display());
-    }
+    report.write_csv("figure6.csv");
+    obs_args.dump_metrics(&mruns);
 }

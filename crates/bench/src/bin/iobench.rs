@@ -3,7 +3,8 @@
 //! stripe-width scaling, and a recovery byte-identity check between the
 //! in-memory and file-backed stacks.
 //!
-//! Three sections, each with an in-process acceptance assertion:
+//! Three sections, each with an acceptance check (the process exits
+//! non-zero on a miss):
 //!
 //! 1. **Queue depth sweep** (device level): cold random single-page
 //!    reads over an O_DIRECT-opened file, blocking loop vs [`IoQueue`]
@@ -33,7 +34,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use sias_bench::{arg_value, write_results};
+use sias_bench::report::{field, num, Gate, Op, Report};
+use sias_bench::Args;
 use sias_common::{RelId, PAGE_SIZE};
 use sias_core::{FlushPolicy, SiasDb};
 use sias_storage::{Device, DeviceRef, FileDevice, IoOp, IoQueue, StorageConfig, Wal};
@@ -217,59 +219,47 @@ fn recovery_identity(dir: &std::path::Path, txns: u64, keys: u64) -> (usize, usi
     (reference.len(), stats.records_scanned as usize)
 }
 
-fn parse_list(args: &[String], name: &str, default: &[usize]) -> Vec<usize> {
-    arg_value(args, name)
-        .map(|v| v.split(',').filter_map(|s| s.trim().parse().ok()).collect())
-        .filter(|v: &Vec<usize>| !v.is_empty())
-        .unwrap_or_else(|| default.to_vec())
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let pages: u64 = arg_value(&args, "--pages").and_then(|v| v.parse().ok()).unwrap_or(if quick {
-        1024
-    } else {
-        4096
-    });
-    let depths = parse_list(&args, "--depths", if quick { &[2, 8] } else { &[2, 4, 8, 16] });
-    let stripes = parse_list(&args, "--stripes", &[1, 2]);
-    let dir = arg_value(&args, "--dir").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
+    let args = Args::from_env();
+    let quick = args.flag("--quick");
+    let pages: u64 = args.get("--pages", if quick { 1024 } else { 4096 });
+    let depths: Vec<usize> =
+        args.list("--depths", if quick { vec![2, 8] } else { vec![2, 4, 8, 16] });
+    let stripes: Vec<usize> = args.list("--stripes", vec![1, 2]);
+    let dir = args.raw("--dir").map_or_else(std::env::temp_dir, PathBuf::from);
     std::fs::create_dir_all(&dir).expect("create bench dir");
-
-    println!("iobench: pages={pages} depths={depths:?} stripes={stripes:?} dir={}", dir.display());
+    let mut report = Report::new(
+        "iobench",
+        vec![
+            ("pages", pages.into()),
+            ("quick", quick.into()),
+            ("dir", dir.display().to_string().into()),
+        ],
+    );
 
     // ---- Section 1: queue-depth sweep on a single file -------------
+    // Cold random reads; the speedup is over the blocking loop.
     let dev = open_striped(&dir, "depth", 1, pages);
     let order = shuffled(pages, 7);
     let blocking_ns = blocking_read_ns(dev.as_ref(), &order);
     let blocking_pps = pages_per_sec(order.len(), blocking_ns);
-    println!("\nqueue-depth sweep (cold random reads, single file):");
-    println!("{:>8} {:>14} {:>10}", "depth", "pages/s", "speedup");
-    println!("{:>8} {:>14.0} {:>9.2}x", "block", blocking_pps, 1.0);
-    let mut depth_rows = String::new();
-    let mut speedup_at = Vec::new();
     for &d in &depths {
         let ns = queued_read_ns(&dev, &order, d);
-        let pps = pages_per_sec(order.len(), ns);
-        let speedup = blocking_ns as f64 / ns as f64;
-        println!("{d:>8} {pps:>14.0} {speedup:>9.2}x");
-        if !depth_rows.is_empty() {
-            depth_rows.push(',');
-        }
-        depth_rows.push_str(&format!(
-            "\n    {{\"depth\": {d}, \"pages_per_sec\": {pps:.0}, \"speedup\": {speedup:.3}}}"
-        ));
-        speedup_at.push((d, speedup));
+        report.row(
+            "depth_cells",
+            vec![
+                ("depth", d.into()),
+                ("pages_per_sec", num(pages_per_sec(order.len(), ns), 0)),
+                ("blocking_pages_per_sec", num(blocking_pps, 0)),
+                ("speedup", num(blocking_ns as f64 / ns as f64, 3)),
+            ],
+        );
     }
     drop(dev);
 
     // ---- Section 2: stripe sweep at equal per-member depth ---------
-    println!("\nstripe sweep (per-member queue depth — per-device NCQ framing):");
-    println!("{:>8} {:>8} {:>14} {:>10}", "stripes", "pm-depth", "pages/s", "vs 1-wide");
+    // Per-member queue depth: per-device NCQ framing.
     let member_depths: Vec<usize> = if quick { vec![1, 2] } else { vec![1, 2, 4] };
-    let mut stripe_rows = String::new();
-    let mut stripe2_win_at_pm1: Option<f64> = None;
     for &pm in &member_depths {
         let mut one_wide_pps = 0.0;
         for &w in &stripes {
@@ -281,17 +271,15 @@ fn main() {
                 one_wide_pps = pps;
             }
             let rel = if one_wide_pps > 0.0 { pps / one_wide_pps } else { 1.0 };
-            println!("{w:>8} {pm:>8} {pps:>14.0} {rel:>9.2}x");
-            if !stripe_rows.is_empty() {
-                stripe_rows.push(',');
-            }
-            stripe_rows.push_str(&format!(
-                "\n    {{\"stripes\": {w}, \"per_member_depth\": {pm}, \
-                 \"pages_per_sec\": {pps:.0}, \"vs_one_wide\": {rel:.3}}}"
-            ));
-            if w == 2 && pm == 1 {
-                stripe2_win_at_pm1 = Some(rel);
-            }
+            report.row(
+                "stripe_cells",
+                vec![
+                    ("stripes", w.into()),
+                    ("per_member_depth", pm.into()),
+                    ("pages_per_sec", num(pps, 0)),
+                    ("vs_one_wide", num(rel, 3)),
+                ],
+            );
             drop(dev);
         }
     }
@@ -299,49 +287,28 @@ fn main() {
     // ---- Section 3: recovery byte-identity -------------------------
     let (rec_txns, rec_keys) = if quick { (60, 16) } else { (200, 32) };
     let (pages_compared, records_replayed) = recovery_identity(&dir, rec_txns, rec_keys);
-    println!(
-        "\nrecovery identity: {pages_compared} data pages byte-identical \
-         (replayed {records_replayed} wal records from the file image)"
+    report.row(
+        "recovery",
+        vec![
+            ("pages_compared", pages_compared.into()),
+            ("records_replayed", records_replayed.into()),
+        ],
     );
-
     cleanup(&dir);
 
     // ---- Acceptance -------------------------------------------------
-    let gate = speedup_at
+    let best_deep = report
+        .rows("depth_cells")
         .iter()
-        .filter(|&&(d, _)| d >= 8)
-        .map(|&(_, s)| s)
+        .filter(|c| field(c, "depth") >= 8.0)
+        .map(|c| field(c, "speedup"))
         .fold(f64::NEG_INFINITY, f64::max);
-    let stripe_gate = stripe2_win_at_pm1;
-    println!("\nacceptance: best speedup at depth>=8 = {gate:.2}x (need >= 1.5)");
-    if let Some(s) = stripe_gate {
-        println!("acceptance: 2-stripe vs 1-stripe at per-member depth 1 = {s:.2}x (need > 1)");
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"iobench\",\n  \"pages\": {pages},\n  \"quick\": {quick},\n  \
-         \"blocking_pages_per_sec\": {blocking_pps:.0},\n  \
-         \"depth_cells\": [{depth_rows}\n  ],\n  \
-         \"stripe_cells\": [{stripe_rows}\n  ],\n  \
-         \"recovery\": {{\"pages_compared\": {pages_compared}, \
-         \"records_replayed\": {records_replayed}, \"byte_identical\": true}},\n  \
-         \"acceptance\": {{\n    \"batched_speedup_depth_ge_8\": {gate:.3},\n    \
-         \"stripe2_vs_stripe1_pm_depth_1\": {},\n    \
-         \"recovery_byte_identical\": true\n  }}\n}}\n",
-        stripe_gate.map(|s| format!("{s:.3}")).unwrap_or_else(|| "null".into()),
-    );
-    let path = write_results("BENCH_file_io.json", &json);
-    println!("wrote {}", path.display());
-
-    assert!(
-        gate >= 1.5,
-        "acceptance: batched IoQueue must be >= 1.5x blocking at depth >= 8, got {gate:.2}x"
-    );
-    if stripes.contains(&2) {
-        let s = stripe_gate.expect("stripe sweep must include the 2-wide, pm-depth-1 cell");
-        assert!(
-            s > 1.0,
-            "acceptance: 2-stripe must beat 1-stripe at per-member depth 1, got {s:.2}x"
-        );
-    }
+    let stripe2 = report
+        .rows("stripe_cells")
+        .iter()
+        .find(|c| field(c, "stripes") == 2.0 && field(c, "per_member_depth") == 1.0)
+        .map(|c| Gate::new("stripe2_vs_stripe1_pm_depth_1", field(c, "vs_one_wide"), Op::Gt, 1.0));
+    report.gates([Gate::new("batched_speedup_depth_ge_8", best_deep, Op::Ge, 1.5)]);
+    report.gates(stripe2);
+    report.finish("BENCH_file_io.json");
 }

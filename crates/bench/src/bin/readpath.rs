@@ -11,7 +11,8 @@
 //! cell's thread count, are byte-identical to the serial scalar walk
 //! (the CI smoke job relies on the process exiting non-zero on
 //! disagreement), then reports wall-clock and the pin/fetch accounting
-//! from `core.engine.scan_*` counters.
+//! from `core.engine.scan_*` counters. Gate: batched ≥ 1.5× scalar at
+//! depth ≥ 4 on the widest thread count.
 //!
 //! A second micro-section hammers `Clog::status` from many threads and
 //! compares against a `RwLock<Vec<u8>>` CLOG equivalent to the
@@ -34,32 +35,13 @@ use std::time::Instant;
 
 use bytes::Bytes;
 use parking_lot::RwLock;
-use sias_bench::{arg_value, io_depth_arg, write_results, Backend, ObsArgs};
+use sias_bench::report::{best_of, field, num, Gate, Op, Report, Row};
+use sias_bench::{Args, Backend, ObsArgs};
 use sias_common::{RelId, Tid, Vid, Xid};
 use sias_core::chain::visible_version;
 use sias_core::SiasDb;
-use sias_obs::SamplerHandle;
 use sias_storage::StorageConfig;
 use sias_txn::{Clog, MvccEngine, Txn, TxnStatus};
-
-/// One (depth, threads) sweep cell.
-struct Cell {
-    depth: u64,
-    threads: usize,
-    items: usize,
-    scalar_ns: u128,
-    batched_ns: u128,
-    page_visits: u64,
-    versions_fetched: u64,
-    memo_hits: u64,
-    memo_misses: u64,
-}
-
-impl Cell {
-    fn speedup(&self) -> f64 {
-        self.scalar_ns as f64 / self.batched_ns.max(1) as f64
-    }
-}
 
 /// The pre-overhaul CLOG shape: 2-bit statuses packed four per byte
 /// behind a reader-writer lock that every probe acquires.
@@ -143,26 +125,14 @@ fn scan_scalar(db: &SiasDb, reader: &Txn, rel: RelId, threads: usize) -> Vec<(Vi
     db.scan_pool().run((0..len).step_by(chunk).collect(), walk).into_iter().flatten().collect()
 }
 
-/// Best-of-`reps` wall time of `f`, in nanoseconds.
-fn best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (u128, R) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let r = f();
-        best = best.min(t0.elapsed().as_nanos());
-        out = Some(r);
-    }
-    (best, out.expect("reps >= 1"))
-}
-
+/// One (depth, threads) sweep cell.
 fn run_cell(
     storage_cfg: &StorageConfig,
     items: usize,
     depth: u64,
     threads: usize,
     reps: usize,
-) -> Cell {
+) -> Row {
     let (db, rel, reader) = build_history(storage_cfg, items, depth);
     // Correctness gate: the batched scan on 1 and on `threads` threads
     // and the scalar ablation must agree byte-for-byte with the serial
@@ -183,23 +153,28 @@ fn run_cell(
     db.scan(&reader, rel, threads).expect("batched");
     let after = db.metrics_snapshot();
     let counter = |name: &str| after.counter(name).expect(name) - before.counter(name).expect(name);
-    let page_visits = counter("core.engine.scan_page_visits");
-    let versions_fetched = counter("core.engine.scan_versions_fetched");
+    let (page_visits, versions_fetched) =
+        (counter("core.engine.scan_page_visits"), counter("core.engine.scan_versions_fetched"));
+    assert!(
+        page_visits <= versions_fetched,
+        "page visits ({page_visits}) must not exceed versions fetched ({versions_fetched})"
+    );
     let (batched_ns, _) = best_of(reps, || db.scan(&reader, rel, threads).expect("batched"));
     let memo = reader.snapshot.memo();
-    let cell = Cell {
-        depth,
-        threads,
-        items,
-        scalar_ns,
-        batched_ns,
-        page_visits,
-        versions_fetched,
-        memo_hits: memo.hits(),
-        memo_misses: memo.misses(),
-    };
+    let row = vec![
+        ("depth", depth.into()),
+        ("threads", threads.into()),
+        ("items", items.into()),
+        ("scalar_ns", (scalar_ns as u64).into()),
+        ("batched_ns", (batched_ns as u64).into()),
+        ("speedup", num(scalar_ns as f64 / batched_ns.max(1) as f64, 3)),
+        ("page_visits", page_visits.into()),
+        ("versions_fetched", versions_fetched.into()),
+        ("memo_hits", memo.hits().into()),
+        ("memo_misses", memo.misses().into()),
+    ];
     db.commit(reader).unwrap();
-    cell
+    row
 }
 
 /// Locked-vs-lock-free CLOG status probes: `threads` workers each replay
@@ -249,148 +224,68 @@ fn clog_ops_per_sec(threads: usize, probes: u64, lock_free: bool) -> f64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let items: usize = arg_value(&args, "--items")
-        .map(|v| v.parse().expect("--items"))
-        .unwrap_or(if quick { 512 } else { 2048 });
-    let reps: usize = arg_value(&args, "--reps").map(|v| v.parse().expect("--reps")).unwrap_or(5);
+    let quick = args.flag("--quick");
+    let items: usize = args.get("--items", if quick { 512 } else { 2048 });
+    let reps: usize = args.get("--reps", 5);
     let depths: Vec<u64> = if quick { vec![1, 4] } else { vec![1, 2, 4, 8] };
     let threads: Vec<usize> = if quick { vec![1, 8] } else { vec![1, 2, 4, 8] };
+    let max_threads = *threads.iter().max().expect("threads");
     let clog_probes: u64 = if quick { 200_000 } else { 1_000_000 };
-    let backend = Backend::from_args(&args, Backend::Mem);
-    let storage_cfg = backend.storage(4096, io_depth_arg(&args));
+    let backend = args.backend(Backend::Mem);
+    let storage_cfg = backend.storage(4096, args.opt("--io-depth"));
 
-    println!(
-        "readpath: backend={} items={items} reps={reps} depths={depths:?} threads={threads:?}",
-        backend.label()
+    let mut report = Report::new(
+        "readpath",
+        vec![
+            ("backend", backend.label().into()),
+            ("io_queue_depth", storage_cfg.io_queue_depth.into()),
+            ("items", items.into()),
+            ("reps", reps.into()),
+            ("quick", quick.into()),
+            ("clog_probes_per_thread", clog_probes.into()),
+            ("gate_threads", max_threads.into()),
+        ],
     );
-    println!(
-        "{:>5} {:>7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>9}",
-        "depth", "threads", "scalar_ms", "batched_ms", "speedup", "pages", "fetched", "memo_hit%"
-    );
-    let mut cells: Vec<Cell> = Vec::new();
     for &depth in &depths {
         for &th in &threads {
-            let c = run_cell(&storage_cfg, items, depth, th, reps);
-            assert!(
-                c.page_visits <= c.versions_fetched,
-                "page visits ({}) must not exceed versions fetched ({})",
-                c.page_visits,
-                c.versions_fetched
-            );
-            println!(
-                "{:>5} {:>7} {:>12.3} {:>12.3} {:>7.2}x {:>10} {:>10} {:>8.1}%",
-                c.depth,
-                c.threads,
-                c.scalar_ns as f64 / 1e6,
-                c.batched_ns as f64 / 1e6,
-                c.speedup(),
-                c.page_visits,
-                c.versions_fetched,
-                100.0 * c.memo_hits as f64 / (c.memo_hits + c.memo_misses).max(1) as f64,
-            );
-            cells.push(c);
+            report.row("cells", run_cell(&storage_cfg, items, depth, th, reps));
         }
     }
-
-    println!("\nclog: probes={clog_probes}/thread, {{status : commit}} = 64:1");
-    println!("{:>7} {:>14} {:>14} {:>8}", "threads", "locked_mops", "lockfree_mops", "ratio");
-    let mut clog_rows = String::new();
+    // CLOG probes, {status : commit} = 64:1.
     for &th in &threads {
         let locked = clog_ops_per_sec(th, clog_probes, false);
         let free = clog_ops_per_sec(th, clog_probes, true);
-        println!("{:>7} {:>14.2} {:>14.2} {:>7.2}x", th, locked / 1e6, free / 1e6, free / locked);
-        if !clog_rows.is_empty() {
-            clog_rows.push(',');
-        }
-        clog_rows.push_str(&format!(
-            "\n    {{\"threads\": {th}, \"locked_ops_per_sec\": {locked:.0}, \
-             \"lock_free_ops_per_sec\": {free:.0}, \"ratio\": {:.3}}}",
-            free / locked
-        ));
+        report.row(
+            "clog",
+            vec![
+                ("threads", th.into()),
+                ("locked_ops_per_sec", num(locked, 0)),
+                ("lock_free_ops_per_sec", num(free, 0)),
+                ("ratio", num(free / locked, 3)),
+            ],
+        );
     }
 
-    // Acceptance: batched ≥ 1.5× scalar at depth ≥ 4 on the 8-thread
-    // sweep, and page visits never exceed versions fetched.
-    let max_threads = *threads.iter().max().expect("threads");
-    let gate: Vec<&Cell> =
-        cells.iter().filter(|c| c.depth >= 4 && c.threads == max_threads).collect();
-    let gate_speedup = gate.iter().map(|c| c.speedup()).fold(f64::INFINITY, f64::min);
-    println!("\nacceptance: min speedup at depth>=4, {max_threads} threads = {gate_speedup:.2}x");
-
-    let mut cell_rows = String::new();
-    for c in &cells {
-        if !cell_rows.is_empty() {
-            cell_rows.push(',');
-        }
-        cell_rows.push_str(&format!(
-            "\n    {{\"depth\": {}, \"threads\": {}, \"items\": {}, \"scalar_ns\": {}, \
-             \"batched_ns\": {}, \"speedup\": {:.3}, \"page_visits\": {}, \
-             \"versions_fetched\": {}, \"memo_hits\": {}, \"memo_misses\": {}}}",
-            c.depth,
-            c.threads,
-            c.items,
-            c.scalar_ns,
-            c.batched_ns,
-            c.speedup(),
-            c.page_visits,
-            c.versions_fetched,
-            c.memo_hits,
-            c.memo_misses
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"readpath\",\n  \"backend\": \"{}\",\n  \
-         \"io_queue_depth\": {},\n  \"items\": {items},\n  \"reps\": {reps},\n  \
-         \"quick\": {quick},\n  \"cells\": [{cell_rows}\n  ],\n  \"clog\": [{clog_rows}\n  ],\n  \
-         \"acceptance\": {{\n    \"gate_threads\": {max_threads},\n    \
-         \"min_speedup_depth_ge_4\": {gate_speedup:.3},\n    \
-         \"page_visits_le_versions_fetched\": true,\n    \
-         \"batched_equals_scalar\": true\n  }}\n}}\n",
-        backend.label(),
-        storage_cfg.io_queue_depth,
-    );
-    let path = write_results(&backend.results_name("readpath"), &json);
-    println!("wrote {}", path.display());
+    // Acceptance: batched ≥ 1.5× scalar at depth ≥ 4 on the widest sweep.
+    let gate_speedup = report
+        .rows("cells")
+        .iter()
+        .filter(|c| field(c, "depth") >= 4.0 && field(c, "threads") == max_threads as f64)
+        .map(|c| field(c, "speedup"))
+        .fold(f64::INFINITY, f64::min);
+    report.gates([Gate::new("min_speedup_depth_ge_4", gate_speedup, Op::Ge, 1.5)]);
 
     // One extra instrumented cell for the observability dumps: the timed
     // sweep above stays untraced so its numbers are clean.
-    if obs_args.metrics_out.is_some() || obs_args.tracing_requested() || obs_args.series_requested()
-    {
+    if obs_args.requested() {
         let (db, rel, reader) = build_history(&storage_cfg, items.min(512), 4);
-        let registry = Arc::clone(db.obs_registry().expect("sias registry"));
-        if obs_args.tracing_requested() {
-            registry.tracer().set_enabled(true);
-            obs_args.apply_slow_threshold(registry.tracer());
-        }
-        let sampler = obs_args.series_requested().then(|| {
-            SamplerHandle::spawn(Arc::clone(&registry), std::time::Duration::from_millis(20))
-        });
-        db.scan(&reader, rel, max_threads).expect("metrics scan");
+        let registry = db.obs_registry().expect("sias registry");
+        obs_args
+            .observe(registry, false, || db.scan(&reader, rel, max_threads).expect("metrics scan"));
         db.commit(reader).unwrap();
-        if let Some(series) = sampler.map(|s| s.stop()) {
-            if let Some(p) = obs_args.dump_series(&series) {
-                println!("wrote {}", p.display());
-            }
-        }
-        if let Some((p, c)) = obs_args.dump_trace(&registry.tracer().capture()) {
-            println!("wrote {} and {}", p.display(), c.display());
-        }
-        let slow = registry.tracer().capture_slow();
-        if let Some(p) = obs_args.dump_slow(&slow) {
-            println!("wrote {} ({} slow ops)", p.display(), slow.len());
-        }
-        let runs = vec![("readpath/metrics".to_string(), db.metrics_snapshot())];
-        if let Some(p) = obs_args.dump_metrics(&runs) {
-            println!("metrics dumped to {}", p.display());
-        }
+        obs_args.dump_metrics(&[("readpath/metrics".to_string(), db.metrics_snapshot())]);
     }
-
-    assert!(
-        gate_speedup >= 1.5,
-        "acceptance: batched must be >= 1.5x scalar at depth >= 4 \
-         ({max_threads} threads), got {gate_speedup:.2}x"
-    );
+    report.finish(&backend.results_name("readpath"));
 }

@@ -22,35 +22,13 @@
 //! span window and series — recovery engines never enable tracing, so
 //! the timed replay itself stays uninstrumented.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use sias_bench::{arg_value, io_depth_arg, write_results, Backend, ObsArgs};
-use sias_core::{FlushPolicy, RecoveryStats, SiasDb};
-use sias_obs::{MetricsSnapshot, SamplerHandle, TimeSeries, TraceEvent};
+use sias_bench::report::{best_of, field, Gate, Op, Report};
+use sias_bench::{Args, Backend, ObsArgs};
+use sias_core::{FlushPolicy, SiasDb};
+use sias_obs::MetricsSnapshot;
 use sias_storage::{StorageConfig, Wal, WalRecord};
 use sias_txn::MvccEngine;
 
-/// One (log size, checkpoint?) cell.
-struct Cell {
-    txns: u64,
-    checkpointed: bool,
-    stats: RecoveryStats,
-    recover_ns: u128,
-}
-
-/// Observability artifacts of one logging run.
-struct LogObs {
-    snap: MetricsSnapshot,
-    events: Vec<TraceEvent>,
-    slow: Vec<TraceEvent>,
-    series: Option<TimeSeries>,
-}
-
-/// Logs `txns` serial two-key update transactions over `keys` keys,
-/// checkpointing after 90% of them when asked, and returns the durable
-/// record stream a post-crash process would scan off the device plus
-/// the run's observability artifacts.
 /// Re-tags a file backend's paths with `tag`, so every cell gets its own
 /// backing files (a shorter log over a stale longer one could otherwise
 /// scan past its own tail). Simulated backends are returned unchanged.
@@ -68,183 +46,115 @@ fn derive(backend: &Backend, tag: &str) -> Backend {
     }
 }
 
+/// Logs `txns` serial two-key update transactions over `keys` keys,
+/// checkpointing after 90% of them when asked, and returns the durable
+/// record stream a post-crash process would scan off the device plus
+/// the run's metrics. The run is observed as `obs` asks.
 fn build_log(
     storage_cfg: &StorageConfig,
     txns: u64,
     keys: u64,
     checkpoint: bool,
-    obs_args: &ObsArgs,
-) -> (Vec<WalRecord>, LogObs) {
+    obs: &ObsArgs,
+) -> (Vec<WalRecord>, MetricsSnapshot) {
     let db = SiasDb::open(storage_cfg.clone());
-    let registry = Arc::clone(db.obs_registry().expect("sias registry"));
-    if obs_args.tracing_requested() {
-        registry.tracer().set_enabled(true);
-        obs_args.apply_slow_threshold(registry.tracer());
-    }
-    let sampler = obs_args
-        .series_requested()
-        .then(|| SamplerHandle::spawn(Arc::clone(&registry), Duration::from_millis(20)));
-    let rel = db.create_relation("restart");
-    let t = db.begin();
-    for k in 0..keys {
-        db.insert(&t, rel, k, format!("init {k}").as_bytes()).unwrap();
-    }
-    db.commit(t).unwrap();
-
-    let ckpt_at = txns * 9 / 10;
-    for i in 0..txns {
-        if checkpoint && i == ckpt_at {
-            let stats = db.checkpoint().expect("checkpoint");
-            assert!(stats.redo_records > 0, "checkpoint must cover the prefix");
-        }
+    let registry = db.obs_registry().expect("sias registry");
+    let records = obs.observe(registry, false, || {
+        let rel = db.create_relation("restart");
         let t = db.begin();
-        for (slot, key) in [(i * 2) % keys, (i * 2 + 1) % keys].into_iter().enumerate() {
-            db.update(&t, rel, key, format!("txn {i} slot {slot}").as_bytes()).unwrap();
+        for k in 0..keys {
+            db.insert(&t, rel, k, format!("init {k}").as_bytes()).unwrap();
         }
         db.commit(t).unwrap();
-    }
-    db.stack().wal.force().unwrap();
-    let (records, _) = Wal::scan_device(db.stack().wal.device().as_ref());
-    let obs = LogObs {
-        snap: registry.snapshot(),
-        events: registry.tracer().capture(),
-        slow: registry.tracer().capture_slow(),
-        series: sampler.map(|s| s.stop()),
-    };
-    (records, obs)
-}
 
-/// Recovers `records` onto a fresh stack `reps` times, returning the
-/// best wall time and the (identical) replay counters.
-fn recover_cell(
-    storage_cfg: &StorageConfig,
-    records: &[WalRecord],
-    reps: usize,
-) -> (u128, RecoveryStats) {
-    let mut best = u128::MAX;
-    let mut out = None;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let (db, stats) = SiasDb::recover_from_wal(records, storage_cfg.clone(), FlushPolicy::T2)
-            .expect("recovery");
-        best = best.min(t0.elapsed().as_nanos());
-        drop(db);
-        out = Some(stats);
-    }
-    (best, out.expect("reps >= 1"))
+        let ckpt_at = txns * 9 / 10;
+        for i in 0..txns {
+            if checkpoint && i == ckpt_at {
+                let stats = db.checkpoint().expect("checkpoint");
+                assert!(stats.redo_records > 0, "checkpoint must cover the prefix");
+            }
+            let t = db.begin();
+            for (slot, key) in [(i * 2) % keys, (i * 2 + 1) % keys].into_iter().enumerate() {
+                db.update(&t, rel, key, format!("txn {i} slot {slot}").as_bytes()).unwrap();
+            }
+            db.commit(t).unwrap();
+        }
+        db.stack().wal.force().unwrap();
+        Wal::scan_device(db.stack().wal.device().as_ref()).0
+    });
+    (records, registry.snapshot())
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let keys: u64 = arg_value(&args, "--keys").and_then(|v| v.parse().ok()).unwrap_or(64);
-    let reps: usize = arg_value(&args, "--reps").and_then(|v| v.parse().ok()).unwrap_or(3);
+    let quick = args.flag("--quick");
+    let keys: u64 = args.get("--keys", 64);
+    let reps: usize = args.get("--reps", 3);
     let sizes: Vec<u64> = if quick { vec![100, 400] } else { vec![100, 400, 1600, 6400] };
-    let backend = Backend::from_args(&args, Backend::Mem);
-    let io_depth = io_depth_arg(&args);
+    let backend = args.backend(Backend::Mem);
+    let io_depth = args.opt("--io-depth");
 
-    println!("restart: backend={} keys={keys} reps={reps} txn counts={sizes:?}", backend.label());
-    println!(
-        "{:>6} {:>5} {:>9} {:>9} {:>9} {:>9} {:>11}",
-        "txns", "ckpt", "records", "suffix", "replayed", "after_ck", "recover_ms"
+    let mut report = Report::new(
+        "restart",
+        vec![
+            ("backend", backend.label().into()),
+            ("keys", keys.into()),
+            ("reps", reps.into()),
+            ("quick", quick.into()),
+        ],
     );
-
-    let mut cells: Vec<Cell> = Vec::new();
     let mut snaps: Vec<(String, MetricsSnapshot)> = Vec::new();
-    let mut last_obs: Option<LogObs> = None;
     for &txns in &sizes {
         for checkpointed in [false, true] {
             let tag = format!("{txns}{}", if checkpointed { "c" } else { "p" });
             let log_cfg = derive(&backend, &tag).storage(512, io_depth);
             let rec_cfg = derive(&backend, &format!("{tag}.rec")).storage(512, io_depth);
-            let (records, obs) = build_log(&log_cfg, txns, keys, checkpointed, &obs_args);
-            let (recover_ns, stats) = recover_cell(&rec_cfg, &records, reps);
-            println!(
-                "{:>6} {:>5} {:>9} {:>9} {:>9} {:>9} {:>11.3}",
-                txns,
-                if checkpointed { "yes" } else { "no" },
-                stats.records_scanned,
-                stats.records_after_checkpoint,
-                stats.versions_replayed,
-                stats.versions_replayed_after_checkpoint,
-                recover_ns as f64 / 1e6,
-            );
-            snaps.push((
-                format!("txns{}-{}", txns, if checkpointed { "ckpt" } else { "plain" }),
-                obs.snap.clone(),
-            ));
-            last_obs = Some(obs);
-            cells.push(Cell { txns, checkpointed, stats, recover_ns });
-        }
-    }
-
-    if let Some(obs) = &last_obs {
-        if let Some((p, c)) = obs_args.dump_trace(&obs.events) {
-            println!("wrote {} and {}", p.display(), c.display());
-        }
-        if let Some(p) = obs_args.dump_slow(&obs.slow) {
-            println!("wrote {} ({} slow ops)", p.display(), obs.slow.len());
-        }
-        if let Some(series) = &obs.series {
-            if let Some(p) = obs_args.dump_series(series) {
-                println!("wrote {}", p.display());
+            let (records, snap) = build_log(&log_cfg, txns, keys, checkpointed, &obs_args);
+            let (recover_ns, (_, s)) = best_of(reps, || {
+                SiasDb::recover_from_wal(&records, rec_cfg.clone(), FlushPolicy::T2)
+                    .expect("recovery")
+            });
+            let label = format!("txns{txns}-{}", if checkpointed { "ckpt" } else { "plain" });
+            let row = vec![
+                ("txns", txns.into()),
+                ("checkpointed", checkpointed.into()),
+                ("checkpoints_seen", s.checkpoints_seen.into()),
+                ("records_scanned", s.records_scanned.into()),
+                ("records_after_checkpoint", s.records_after_checkpoint.into()),
+                ("versions_replayed", s.versions_replayed.into()),
+                ("versions_replayed_after_checkpoint", s.versions_replayed_after_checkpoint.into()),
+                ("versions_skipped_idempotent", s.versions_skipped_idempotent.into()),
+                ("recover_ns", (recover_ns as u64).into()),
+            ];
+            // Bounded restart: a checkpointed cell replays a strict suffix
+            // of the records and the versions; a plain cell's suffix is the
+            // whole log.
+            let prefix = |all: &str, after: &str| field(&row, all) - field(&row, after);
+            let skipped = prefix("records_scanned", "records_after_checkpoint");
+            let (want, op) = if checkpointed { (1.0, Op::Gt) } else { (0.0, Op::Eq) };
+            report.gates([
+                Gate::new(
+                    format!("{label} checkpoints_seen"),
+                    field(&row, "checkpoints_seen"),
+                    Op::Eq,
+                    want,
+                ),
+                Gate::new(format!("{label} records before the checkpoint"), skipped, op, 0.0),
+            ]);
+            if checkpointed {
+                let versions = prefix("versions_replayed", "versions_replayed_after_checkpoint");
+                report.gates([Gate::new(
+                    format!("{label} versions before the checkpoint"),
+                    versions,
+                    Op::Gt,
+                    0.0,
+                )]);
             }
+            snaps.push((label, snap));
+            report.row("cells", row);
         }
     }
-    if let Some(p) = obs_args.dump_metrics(&snaps) {
-        println!("wrote {}", p.display());
-    }
-
-    // Acceptance: every checkpointed cell reports a bounded replay
-    // suffix, every plain cell reports the whole log as its suffix.
-    let mut ok = true;
-    for c in &cells {
-        if c.checkpointed {
-            if c.stats.checkpoints_seen != 1
-                || c.stats.records_after_checkpoint >= c.stats.records_scanned
-                || c.stats.versions_replayed_after_checkpoint >= c.stats.versions_replayed
-            {
-                println!("FAIL: txns={} checkpointed cell is not bounded", c.txns);
-                ok = false;
-            }
-        } else if c.stats.checkpoints_seen != 0
-            || c.stats.records_after_checkpoint != c.stats.records_scanned
-        {
-            println!("FAIL: txns={} plain cell misreported a checkpoint", c.txns);
-            ok = false;
-        }
-    }
-
-    let mut rows = String::new();
-    for c in &cells {
-        if !rows.is_empty() {
-            rows.push(',');
-        }
-        rows.push_str(&format!(
-            "\n    {{\"txns\": {}, \"checkpointed\": {}, \"records_scanned\": {}, \
-             \"records_after_checkpoint\": {}, \"versions_replayed\": {}, \
-             \"versions_replayed_after_checkpoint\": {}, \
-             \"versions_skipped_idempotent\": {}, \"recover_ns\": {}}}",
-            c.txns,
-            c.checkpointed,
-            c.stats.records_scanned,
-            c.stats.records_after_checkpoint,
-            c.stats.versions_replayed,
-            c.stats.versions_replayed_after_checkpoint,
-            c.stats.versions_skipped_idempotent,
-            c.recover_ns,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"restart\",\n  \"backend\": \"{}\",\n  \"keys\": {keys},\n  \
-         \"reps\": {reps},\n  \
-         \"quick\": {quick},\n  \"cells\": [{rows}\n  ],\n  \"acceptance\": {{\n    \
-         \"suffix_bounded_with_checkpoint\": {ok}\n  }}\n}}\n",
-        backend.label(),
-    );
-    let path = write_results(&backend.results_name("restart"), &json);
-    println!("wrote {}", path.display());
-
-    assert!(ok, "acceptance: checkpointed restarts must replay a bounded suffix");
+    obs_args.dump_metrics(&snaps);
+    report.finish(&backend.results_name("restart"));
 }

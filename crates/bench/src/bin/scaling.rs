@@ -31,48 +31,16 @@
 //! cell under serializable snapshot isolation over zipfian constraint
 //! pairs, so the sweep also reports the pivot-abort cost of SSI.
 
-use std::sync::Arc;
-use std::time::Duration;
-
-use sias_bench::{arg_value, io_depth_arg, write_results, Backend, EngineKind, ObsArgs};
-use sias_core::SiasDb;
-use sias_obs::{SamplerHandle, TimeSeries, TraceEvent};
-use sias_si::SiDb;
+use sias_bench::report::{field, get, num, Report, Row};
+use sias_bench::{build_on, Args, Backend, EngineKind, ObsArgs};
+use sias_obs::MetricsSnapshot;
 use sias_storage::{StorageConfig, WalConfig};
-use sias_txn::MvccEngine;
 use sias_workload::{drive_threaded, ThreadedConfig};
 
 /// WAL force latency (µs of real time per device force). Chosen near a
 /// fast SSD's fsync so group-commit amortization, not raw CPU, decides
 /// the sweep.
 const FORCE_SLEEP_US: u64 = 150;
-
-/// Sampler cadence for `--series-out` runs.
-const SAMPLE_INTERVAL_MS: u64 = 50;
-
-struct Cell {
-    engine: &'static str,
-    threads: usize,
-    committed: u64,
-    aborted: u64,
-    conflicts: u64,
-    serialization_aborts: u64,
-    wall_secs: f64,
-    commits_per_sec: f64,
-    wal_forces: u64,
-    group_p50: u64,
-    group_max: u64,
-    pool_shards: usize,
-}
-
-/// Flight-recorder accounting for a tracing-on cell.
-struct TraceOut {
-    events: Vec<TraceEvent>,
-    slow: Vec<TraceEvent>,
-    series: Option<TimeSeries>,
-    recorded: u64,
-    dropped: u64,
-}
 
 fn storage(backend: &Backend, io_depth: Option<usize>) -> StorageConfig {
     // Real files pay their own fsync latency; only simulated media get
@@ -85,105 +53,62 @@ fn storage(backend: &Backend, io_depth: Option<usize>) -> StorageConfig {
     })
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One cell on a fresh engine; `obs` runs it observed, with the flight
+/// recorder on. Returns the row, the engine's metrics and the recorder's
+/// (recorded, dropped, captured) event counts.
 fn run(
     kind: EngineKind,
     storage_cfg: &StorageConfig,
-    threads: usize,
-    txns_per_thread: usize,
-    seed: u64,
-    ssi: bool,
-    trace: bool,
-    sample: bool,
-    slow_ns: Option<u64>,
-) -> (Cell, sias_obs::MetricsSnapshot, Option<TraceOut>) {
-    let tcfg = ThreadedConfig {
-        threads,
-        txns_per_thread,
-        keys: 256,
-        ops_per_txn: 4,
-        update_pct: 60,
-        abort_ppm: 0,
-        seed,
-        serializable: ssi,
-        constraint_pairs: ssi,
+    tcfg: &ThreadedConfig,
+    obs: Option<&ObsArgs>,
+) -> (Row, MetricsSnapshot, [u64; 3]) {
+    let any = build_on(kind, storage_cfg.clone());
+    let db = any.engine();
+    let registry = db.obs_registry().expect("engine registry");
+    let go = || drive_threaded(db, tcfg);
+    let run = match obs {
+        Some(obs) => obs.observe(registry, true, go),
+        None => go(),
     };
-    // Both engine arms are identical modulo the concrete Db type; the
-    // closure keeps the tracing/sampling bracket in one place.
-    let drive = |registry: &Arc<sias_obs::Registry>,
-                 go: &dyn Fn() -> sias_workload::ThreadedRun|
-     -> (sias_workload::ThreadedRun, Option<TraceOut>) {
-        if !trace {
-            return (go(), None);
-        }
-        let tracer = Arc::clone(registry.tracer());
-        tracer.set_enabled(true);
-        if let Some(ns) = slow_ns {
-            tracer.set_slow_threshold_ns(ns);
-        }
-        let sampler = sample.then(|| {
-            SamplerHandle::spawn(Arc::clone(registry), Duration::from_millis(SAMPLE_INTERVAL_MS))
-        });
-        let run = go();
-        let series = sampler.map(|s| s.stop());
-        let out = TraceOut {
-            events: tracer.capture(),
-            slow: tracer.capture_slow(),
-            series,
-            recorded: tracer.total_recorded(),
-            dropped: tracer.dropped(),
-        };
-        (run, Some(out))
-    };
-    let (run, snap, shards, tout) = match kind {
-        EngineKind::Si => {
-            let db = SiDb::open(storage_cfg.clone());
-            let registry = Arc::clone(db.obs_registry().expect("si registry"));
-            let (run, tout) = drive(&registry, &|| drive_threaded(&db, &tcfg));
-            let shards = db.stack().pool.shard_count();
-            (run, db.metrics_snapshot(), shards, tout)
-        }
-        _ => {
-            let db = SiasDb::open(storage_cfg.clone());
-            let registry = Arc::clone(db.obs_registry().expect("sias registry"));
-            let (run, tout) = drive(&registry, &|| drive_threaded(&db, &tcfg));
-            let shards = db.stack().pool.shard_count();
-            (run, db.metrics_snapshot(), shards, tout)
-        }
-    };
+    let tracer = registry.tracer();
+    let events = [tracer.total_recorded(), tracer.dropped(), tracer.capture().len() as u64];
+    let snap = db.metrics_snapshot();
     let group = snap.histogram("storage.wal.group_size");
-    let cell = Cell {
-        engine: kind.label(),
-        threads,
-        committed: run.committed,
-        aborted: run.aborted,
-        conflicts: run.conflicts,
-        serialization_aborts: run.serialization_aborts,
-        wall_secs: run.wall.as_secs_f64(),
-        commits_per_sec: run.commits_per_sec(),
-        wal_forces: snap.counter("storage.wal.forces").unwrap_or(0),
-        group_p50: group.map(|h| h.p50).unwrap_or(0),
-        group_max: group.map(|h| h.max).unwrap_or(0),
-        pool_shards: shards,
-    };
-    (cell, snap, tout)
+    let row = vec![
+        ("engine", kind.label().into()),
+        ("threads", tcfg.threads.into()),
+        ("committed", run.committed.into()),
+        ("aborted", run.aborted.into()),
+        ("conflicts", run.conflicts.into()),
+        ("serialization_aborts", run.serialization_aborts.into()),
+        ("wall_secs", num(run.wall.as_secs_f64(), 6)),
+        ("commits_per_sec", num(run.commits_per_sec(), 1)),
+        ("wal_forces", snap.counter("storage.wal.forces").unwrap_or(0).into()),
+        ("wal_group_size_p50", group.map_or(0, |h| h.p50).into()),
+        ("wal_group_size_max", group.map_or(0, |h| h.max).into()),
+        ("pool_shards", any.stack().pool.shard_count().into()),
+    ];
+    (row, snap, events)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let args = Args::from_env();
     let obs_args = ObsArgs::parse(&args);
-    let quick = args.iter().any(|a| a == "--quick");
-    let max_threads: usize =
-        arg_value(&args, "--threads").and_then(|v| v.parse().ok()).unwrap_or(8);
-    let txns_per_thread: usize = arg_value(&args, "--txns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 100 } else { 400 });
-    let engine_sel = arg_value(&args, "--engine").unwrap_or_else(|| "both".to_string());
-    let seed: u64 = arg_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let ssi = args.iter().any(|a| a == "--ssi");
-    let backend = Backend::from_args(&args, Backend::Mem);
-    let io_depth = io_depth_arg(&args);
-    let storage_cfg = storage(&backend, io_depth);
+    let quick = args.flag("--quick");
+    let max_threads: usize = args.get("--threads", 8);
+    let txns_per_thread: usize = args.get("--txns", if quick { 100 } else { 400 });
+    let seed: u64 = args.get("--seed", 42);
+    let ssi = args.flag("--ssi");
+    let backend = args.backend(Backend::Mem);
+    let storage_cfg = storage(&backend, args.opt("--io-depth"));
+    // `--engine`: both (default), or one of the two engines the sweep runs.
+    let kinds = match args.raw("--engine").unwrap_or("both") {
+        "both" => vec![EngineKind::SiasT2, EngineKind::Si],
+        v => match EngineKind::parse(v) {
+            Some(kind @ (EngineKind::SiasT2 | EngineKind::Si)) => vec![kind],
+            _ => panic!("bad --engine value {v:?}: scaling runs si, sias-t2 or both"),
+        },
+    };
 
     let mut sweep: Vec<usize> = Vec::new();
     let mut t = 1;
@@ -194,188 +119,84 @@ fn main() {
     if *sweep.last().unwrap() != max_threads.max(1) {
         sweep.push(max_threads);
     }
+    let tcfg = |threads| ThreadedConfig {
+        threads,
+        txns_per_thread,
+        keys: 256,
+        ops_per_txn: 4,
+        update_pct: 60,
+        abort_ppm: 0,
+        seed,
+        serializable: ssi,
+        constraint_pairs: ssi,
+    };
 
-    let mut kinds: Vec<EngineKind> = Vec::new();
-    if engine_sel == "both" || EngineKind::parse(&engine_sel) == Some(EngineKind::SiasT2) {
-        kinds.push(EngineKind::SiasT2);
-    }
-    if engine_sel == "both" || EngineKind::parse(&engine_sel) == Some(EngineKind::Si) {
-        kinds.push(EngineKind::Si);
-    }
-
-    println!(
-        "scaling: threads {sweep:?}, {txns_per_thread} txns/thread, \
-         force latency {FORCE_SLEEP_US} us{}",
-        if ssi { ", serializable (SSI) over constraint pairs" } else { "" }
+    let mut report = Report::new(
+        "scaling",
+        vec![
+            ("backend", backend.label().into()),
+            ("io_queue_depth", storage_cfg.io_queue_depth.into()),
+            ("txns_per_thread", txns_per_thread.into()),
+            ("keys", 256u64.into()),
+            ("ops_per_txn", 4u64.into()),
+            ("update_pct", 60u64.into()),
+            ("seed", seed.into()),
+            ("force_sleep_us", storage_cfg.wal.force_sleep_us.into()),
+            ("group_timeout_ticks", 64u64.into()),
+            ("max_batch", 64u64.into()),
+            ("quick", quick.into()),
+            ("serializable", ssi.into()),
+        ],
     );
-    println!(
-        "{:<8} {:>7} {:>9} {:>8} {:>9} {:>9} {:>11} {:>7} {:>9} {:>9}",
-        "engine",
-        "threads",
-        "commits",
-        "aborted",
-        "ssi-abrt",
-        "wall(s)",
-        "commits/s",
-        "forces",
-        "group p50",
-        "shards"
-    );
-
-    let mut cells: Vec<Cell> = Vec::new();
-    let mut snaps: Vec<(String, sias_obs::MetricsSnapshot)> = Vec::new();
+    let mut snaps: Vec<(String, MetricsSnapshot)> = Vec::new();
     for &kind in &kinds {
         for &threads in &sweep {
-            let (cell, snap, _) =
-                run(kind, &storage_cfg, threads, txns_per_thread, seed, ssi, false, false, None);
-            println!(
-                "{:<8} {:>7} {:>9} {:>8} {:>9} {:>9.3} {:>11.0} {:>7} {:>9} {:>9}",
-                cell.engine,
-                cell.threads,
-                cell.committed,
-                cell.aborted,
-                cell.serialization_aborts,
-                cell.wall_secs,
-                cell.commits_per_sec,
-                cell.wal_forces,
-                cell.group_p50,
-                cell.pool_shards
-            );
-            snaps.push((format!("{}-t{}", cell.engine, cell.threads), snap));
-            cells.push(cell);
+            let (row, snap, _) = run(kind, &storage_cfg, &tcfg(threads), None);
+            snaps.push((format!("{}-t{threads}", kind.label()), snap));
+            report.row("cells", row);
         }
     }
-
-    // Acceptance view: SIAS 4-thread vs 1-thread commit throughput, and
-    // forces per commit at the widest SIAS cell.
-    let sias_tp = |threads: usize| {
-        cells
-            .iter()
-            .find(|c| c.engine == "SIAS-t2" && c.threads == threads)
-            .map(|c| c.commits_per_sec)
+    // Commit throughput of a swept cell.
+    let cps = |kind: EngineKind, threads: usize| {
+        let row = report.rows("cells").iter().find(|c| {
+            *get(c, "engine") == kind.label().into() && field(c, "threads") == threads as f64
+        });
+        row.map(|c| field(c, "commits_per_sec"))
     };
-    let speedup = match (sias_tp(1), sias_tp(4)) {
-        (Some(t1), Some(t4)) if t1 > 0.0 => Some(t4 / t1),
+    // SIAS 4-thread vs 1-thread commit throughput.
+    let speedup = match (cps(EngineKind::SiasT2, 1), cps(EngineKind::SiasT2, 4)) {
+        (Some(t1), Some(t4)) if t1 > 0.0 => Some(num(t4 / t1, 3)),
         _ => None,
     };
-    if let Some(s) = speedup {
-        println!("SIAS 4-thread / 1-thread commit throughput: {s:.2}x");
-    }
-
     // Tracing overhead pair: re-run the widest cell of the first swept
     // engine with the flight recorder enabled (plus the sampler when
     // `--series-out` asks for it) and compare commit throughput against
     // the tracing-off cell the sweep already produced.
-    let overhead_kind = kinds.first().copied().unwrap_or(EngineKind::SiasT2);
-    let overhead_threads = *sweep.last().unwrap();
-    let (on_cell, _, tout) = run(
-        overhead_kind,
-        &storage_cfg,
-        overhead_threads,
-        txns_per_thread,
-        seed,
-        ssi,
-        true,
-        obs_args.series_requested(),
-        obs_args.slow_us.map(|us| us.saturating_mul(1_000)),
+    let (kind, threads) = (kinds[0], *sweep.last().unwrap());
+    let off_cps = cps(kind, threads).unwrap_or(0.0);
+    report.row("summary", vec![("sias_speedup_4_over_1", speedup.into())]);
+    let (on, _, [recorded, dropped, captured]) =
+        run(kind, &storage_cfg, &tcfg(threads), Some(&obs_args));
+    let on_cps = field(&on, "commits_per_sec");
+    let overhead_pct = if off_cps > 0.0 { (off_cps - on_cps) / off_cps * 100.0 } else { 0.0 };
+    let mut overhead = Report::new(
+        "trace_overhead",
+        vec![("txns_per_thread", txns_per_thread.into()), ("quick", quick.into())],
     );
-    let tout = tout.expect("tracing-on run returns trace accounting");
-    let off_cps = cells
-        .iter()
-        .find(|c| c.engine == overhead_kind.label() && c.threads == overhead_threads)
-        .map(|c| c.commits_per_sec)
-        .unwrap_or(0.0);
-    let overhead_pct =
-        if off_cps > 0.0 { (off_cps - on_cell.commits_per_sec) / off_cps * 100.0 } else { 0.0 };
-    println!(
-        "trace overhead @ {} threads ({}): off {:.0} commits/s, on {:.0} commits/s \
-         ({:+.2}%), {} events recorded, {} dropped",
-        overhead_threads,
-        overhead_kind.label(),
-        off_cps,
-        on_cell.commits_per_sec,
-        overhead_pct,
-        tout.recorded,
-        tout.dropped
+    overhead.row(
+        "cells",
+        vec![
+            ("engine", kind.label().into()),
+            ("threads", threads.into()),
+            ("commits_per_sec_tracing_off", num(off_cps, 1)),
+            ("commits_per_sec_tracing_on", num(on_cps, 1)),
+            ("overhead_pct", num(overhead_pct, 3)),
+            ("events_recorded", recorded.into()),
+            ("events_dropped", dropped.into()),
+            ("events_captured", captured.into()),
+        ],
     );
-
-    let overhead_json = format!(
-        "{{\n  \"engine\": \"{}\",\n  \"threads\": {},\n  \"txns_per_thread\": {},\n  \
-         \"quick\": {},\n  \"commits_per_sec_tracing_off\": {:.1},\n  \
-         \"commits_per_sec_tracing_on\": {:.1},\n  \"overhead_pct\": {:.3},\n  \
-         \"events_recorded\": {},\n  \"events_dropped\": {},\n  \
-         \"events_captured\": {}\n}}\n",
-        overhead_kind.label(),
-        overhead_threads,
-        txns_per_thread,
-        quick,
-        off_cps,
-        on_cell.commits_per_sec,
-        overhead_pct,
-        tout.recorded,
-        tout.dropped,
-        tout.events.len(),
-    );
-    let opath = write_results("BENCH_trace_overhead.json", &overhead_json);
-    println!("wrote {}", opath.display());
-
-    if let Some((p, c)) = obs_args.dump_trace(&tout.events) {
-        println!("wrote {} and {}", p.display(), c.display());
-    }
-    if let Some(p) = obs_args.dump_slow(&tout.slow) {
-        println!("wrote {} ({} slow ops)", p.display(), tout.slow.len());
-    }
-    if let Some(series) = &tout.series {
-        if let Some(p) = obs_args.dump_series(series) {
-            println!("wrote {}", p.display());
-        }
-    }
-    if let Some(p) = obs_args.dump_metrics(&snaps) {
-        println!("wrote {}", p.display());
-    }
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"backend\": \"{}\", \"io_queue_depth\": {}, \
-         \"txns_per_thread\": {txns_per_thread}, \"keys\": 256, \
-         \"ops_per_txn\": 4, \"update_pct\": 60, \"seed\": {seed}, \
-         \"force_sleep_us\": {}, \"group_timeout_ticks\": 64, \
-         \"max_batch\": 64, \"quick\": {quick}, \"serializable\": {ssi}}},\n",
-        backend.label(),
-        storage_cfg.io_queue_depth,
-        storage_cfg.wal.force_sleep_us,
-    ));
-    json.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"engine\": \"{}\", \"threads\": {}, \"committed\": {}, \
-             \"aborted\": {}, \"conflicts\": {}, \"serialization_aborts\": {}, \
-             \"wall_secs\": {:.6}, \
-             \"commits_per_sec\": {:.1}, \"wal_forces\": {}, \
-             \"wal_group_size_p50\": {}, \"wal_group_size_max\": {}, \
-             \"pool_shards\": {}}}{}\n",
-            c.engine,
-            c.threads,
-            c.committed,
-            c.aborted,
-            c.conflicts,
-            c.serialization_aborts,
-            c.wall_secs,
-            c.commits_per_sec,
-            c.wal_forces,
-            c.group_p50,
-            c.group_max,
-            c.pool_shards,
-            if i + 1 == cells.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    match speedup {
-        Some(s) => json.push_str(&format!("  \"sias_speedup_4_over_1\": {s:.3}\n")),
-        None => json.push_str("  \"sias_speedup_4_over_1\": null\n"),
-    }
-    json.push_str("}\n");
-
-    let path = write_results(&backend.results_name("scaling"), &json);
-    println!("wrote {}", path.display());
+    obs_args.dump_metrics(&snaps);
+    overhead.finish("BENCH_trace_overhead.json");
+    report.finish(&backend.results_name("scaling"));
 }

@@ -1,11 +1,12 @@
 //! Shared experiment harness for the SIAS evaluation reproduction.
 //!
 //! Each table/figure of the paper has a binary in `src/bin/` that calls
-//! into the helpers here: build an engine on a modelled testbed, load
-//! TPC-C at a warehouse scale, run the measured interval, and report the
-//! paper's metrics (NOTPM, response times, device write volume). A
-//! measured interval is always a before/after diff of the device
-//! counters and the registry snapshot: nothing is reset.
+//! into the helpers here: read its flags ([`Args`]), build an engine on a
+//! modelled testbed, load TPC-C at a warehouse scale, run the measured
+//! interval ([`run_cell`]), and report the paper's metrics (NOTPM,
+//! response times, device write volume) through the one results writer,
+//! [`report`]. A measured interval is always a before/after diff of the
+//! device counters and the registry snapshot: nothing is reset.
 //!
 //! Testbed presets (scaled-down; see EXPERIMENTS.md for the calibration
 //! rationale):
@@ -19,14 +20,23 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod report;
+
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
+use std::sync::Arc;
+use std::time::Duration;
+
 use sias_core::{FlushPolicy, SiasDb};
-use sias_obs::{export, MetricsSnapshot, TimeSeries, TraceEvent};
+use sias_obs::{export, push_json_string, MetricsSnapshot, Registry, SamplerHandle, TraceEvent};
 use sias_si::SiDb;
 use sias_storage::{DeviceStats, StorageConfig};
 use sias_txn::MvccEngine;
 use sias_workload::{
     check_consistency, load, run_benchmark, BenchResult, DriverConfig, TpccConfig,
 };
+
+use crate::report::write_file;
 
 /// Which modelled hardware to run on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,7 +52,7 @@ pub enum Testbed {
 }
 
 impl Testbed {
-    /// Parses a `--testbed` CLI value.
+    /// Parses a testbed name (the simulated `--backend` values).
     pub fn parse(s: &str) -> Option<Testbed> {
         match s {
             "ssd" => Some(Testbed::Ssd),
@@ -109,18 +119,6 @@ impl Backend {
         }
     }
 
-    /// Reads `--backend` from raw argv, falling back to `default`.
-    /// Panics (with the offending value) on an unparsable backend, so a
-    /// typo fails loudly instead of silently benchmarking the default.
-    pub fn from_args(args: &[String], default: Backend) -> Backend {
-        match arg_value(args, "--backend") {
-            Some(v) => {
-                Backend::parse(&v).unwrap_or_else(|| panic!("unknown --backend value {v:?}"))
-            }
-            None => default,
-        }
-    }
-
     /// `true` when the backend touches real files (results should go to
     /// the `BENCH_file_*` namespace and timings are wall-clock).
     pub fn is_file_backed(&self) -> bool {
@@ -166,23 +164,6 @@ impl Backend {
             None => cfg,
         }
     }
-}
-
-/// Reads the `--io-depth <n>` override from raw argv.
-pub fn io_depth_arg(args: &[String]) -> Option<usize> {
-    arg_value(args, "--io-depth").and_then(|v| v.parse().ok())
-}
-
-/// Builds an engine of `kind` on an arbitrary backend (the
-/// backend-aware twin of [`build`]).
-pub fn backend_build(
-    kind: EngineKind,
-    backend: &Backend,
-    pool_frames: usize,
-    io_depth: Option<usize>,
-) -> AnyEngine {
-    let storage = backend.storage(pool_frames, io_depth);
-    build_on(kind, storage)
 }
 
 /// Builds an engine of `kind` over an explicit storage configuration.
@@ -286,15 +267,15 @@ pub fn build(kind: EngineKind, testbed: Testbed, pool_frames: usize) -> AnyEngin
     build_on(kind, testbed.storage(pool_frames))
 }
 
-/// Runs one experiment cell: build, load, measure, verify.
+/// Runs one TPC-C experiment cell on `storage`: build, load `warehouses`,
+/// measure one `dcfg` run, verify.
 pub fn run_cell(
     kind: EngineKind,
-    testbed: Testbed,
+    storage: StorageConfig,
     warehouses: u32,
-    duration_secs: u64,
-    pool_frames: usize,
+    dcfg: &DriverConfig,
 ) -> CellResult {
-    let any = build(kind, testbed, pool_frames);
+    let any = build_on(kind, storage);
     let engine = any.engine();
     let cfg = TpccConfig::scaled(warehouses);
     let tables = load(engine, &cfg).expect("load");
@@ -305,8 +286,7 @@ pub fn run_cell(
     let stack = any.stack();
     let (device_before, metrics_before) = (stack.data.stats(), engine.metrics_snapshot());
 
-    let dcfg = DriverConfig::for_warehouses(warehouses).with_duration(duration_secs);
-    let bench = run_benchmark(engine, &tables, &cfg, &dcfg, &stack.clock).expect("benchmark");
+    let bench = run_benchmark(engine, &tables, &cfg, dcfg, &stack.clock).expect("benchmark");
 
     let device = stack.data.stats() - device_before;
     let metrics = engine.metrics_snapshot().since(&metrics_before);
@@ -318,15 +298,58 @@ pub fn run_cell(
     CellResult { engine: kind, bench, device, space_pages, violations, metrics }
 }
 
-/// Writes `contents` into `results/<name>` (creating the directory),
-/// returning the path written.
-pub fn write_results(name: &str, contents: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("results");
-    std::fs::create_dir_all(dir).expect("create results dir");
-    let path = dir.join(name);
-    std::fs::write(&path, contents).expect("write results");
-    path
+/// The command-line flags of a bench binary: `--name value` pairs,
+/// comma-separated lists and bare boolean flags. A flag that is present
+/// but cannot be read panics with its name and value, so a typo fails
+/// before any cell runs instead of quietly running the default.
+pub struct Args(Vec<String>);
+
+impl Args {
+    /// The process's arguments.
+    pub fn from_env() -> Args {
+        Args(std::env::args().skip(1).collect())
+    }
+
+    /// Whether the bare flag `name` is present.
+    pub fn flag(&self, name: &str) -> bool {
+        self.0.iter().any(|a| a == name)
+    }
+
+    /// The raw value following `name`.
+    pub fn raw(&self, name: &str) -> Option<&str> {
+        let i = self.0.iter().position(|a| a == name)?;
+        Some(self.0.get(i + 1).unwrap_or_else(|| panic!("{name} needs a value")))
+    }
+
+    /// The value of `name` read by `parse`; `None` when the flag is absent.
+    pub fn read<T, E>(&self, name: &str, parse: impl Fn(&str) -> Result<T, E>) -> Option<T> {
+        let v = self.raw(name)?;
+        Some(parse(v.trim()).unwrap_or_else(|_| panic!("bad {name} value {v:?}")))
+    }
+
+    /// The value of `name`; `None` when the flag is absent.
+    pub fn opt<T: FromStr>(&self, name: &str) -> Option<T> {
+        self.read(name, str::parse)
+    }
+
+    /// The value of `name`, or `default` when the flag is absent.
+    pub fn get<T: FromStr>(&self, name: &str, default: T) -> T {
+        self.opt(name).unwrap_or(default)
+    }
+
+    /// The comma-separated values of `name`, or `default`.
+    pub fn list<T: FromStr>(&self, name: &str, default: Vec<T>) -> Vec<T> {
+        self.read(name, |v| v.split(',').map(|x| x.trim().parse()).collect()).unwrap_or(default)
+    }
+
+    /// `--backend`, or `default`.
+    pub fn backend(&self, default: Backend) -> Backend {
+        self.read("--backend", |v| Backend::parse(v).ok_or(())).unwrap_or(default)
+    }
 }
+
+/// Sampler cadence of every `--series-out` run.
+pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Unified observability options every bench binary accepts:
 ///
@@ -339,142 +362,114 @@ pub fn write_results(name: &str, contents: &str) -> std::path::PathBuf {
 ///   promoted to the recorder's slow ring, dumped at
 ///   `<trace_out>.slow.jsonl`.
 ///
-/// Binaries parse once ([`ObsArgs::parse`]) and call the `dump_*`
-/// methods at the end of the run; every dump is a no-op when its flag is
+/// Binaries parse once ([`ObsArgs::parse`]), run the instrumented work
+/// under [`ObsArgs::observe`] and write the snapshots with
+/// [`ObsArgs::dump_metrics`]; every dump is a no-op when its flag is
 /// absent, so the instrumentation costs nothing by default.
 #[derive(Clone, Debug, Default)]
 pub struct ObsArgs {
     /// Destination of the metrics dump (`--metrics-out`).
-    pub metrics_out: Option<std::path::PathBuf>,
+    pub metrics_out: Option<PathBuf>,
     /// Destination of the trace dump (`--trace-out`).
-    pub trace_out: Option<std::path::PathBuf>,
+    pub trace_out: Option<PathBuf>,
     /// Destination of the time-series dump (`--series-out`).
-    pub series_out: Option<std::path::PathBuf>,
+    pub series_out: Option<PathBuf>,
     /// Slow-op threshold in microseconds (`--slow-us`).
     pub slow_us: Option<u64>,
 }
 
 impl ObsArgs {
-    /// Parses the three options from raw argv.
-    pub fn parse(args: &[String]) -> ObsArgs {
+    /// Reads the four options.
+    pub fn parse(args: &Args) -> ObsArgs {
         ObsArgs {
-            metrics_out: metrics_out(args),
-            trace_out: arg_value(args, "--trace-out").map(std::path::PathBuf::from),
-            series_out: arg_value(args, "--series-out").map(std::path::PathBuf::from),
-            slow_us: arg_value(args, "--slow-us").and_then(|v| v.parse().ok()),
+            metrics_out: args
+                .raw("--metrics-out")
+                .map(PathBuf::from)
+                .or_else(|| std::env::var_os("SIAS_METRICS_OUT").map(PathBuf::from)),
+            trace_out: args.raw("--trace-out").map(PathBuf::from),
+            series_out: args.raw("--series-out").map(PathBuf::from),
+            slow_us: args.opt("--slow-us"),
         }
     }
 
-    /// Arms the recorder's slow-op ring when `--slow-us` was given.
-    pub fn apply_slow_threshold(&self, tracer: &sias_obs::FlightRecorder) {
-        if let Some(us) = self.slow_us {
-            tracer.set_slow_threshold_ns(us.saturating_mul(1_000));
-        }
+    /// Whether any dump was asked for.
+    pub fn requested(&self) -> bool {
+        self.metrics_out.is_some() || self.trace_out.is_some() || self.series_out.is_some()
     }
 
-    /// Writes the slow-op window at `<trace_out>.slow.jsonl`; no-op
-    /// without `--trace-out` or with an empty window.
-    pub fn dump_slow(&self, events: &[TraceEvent]) -> Option<std::path::PathBuf> {
-        let path = self.trace_out.as_deref()?;
-        if events.is_empty() {
-            return None;
-        }
-        let mut slow = path.as_os_str().to_owned();
-        slow.push(".slow.jsonl");
-        let slow = std::path::PathBuf::from(slow);
-        write_file(&slow, &export::to_jsonl(events));
-        Some(slow)
-    }
-
-    /// Whether the run should enable the flight recorder.
-    pub fn tracing_requested(&self) -> bool {
-        self.trace_out.is_some()
-    }
-
-    /// Whether the run should start the time-series sampler.
-    pub fn series_requested(&self) -> bool {
-        self.series_out.is_some()
-    }
-
-    /// Writes labelled metrics snapshots (see [`dump_metrics`]).
-    pub fn dump_metrics(&self, runs: &[(String, MetricsSnapshot)]) -> Option<std::path::PathBuf> {
-        dump_metrics(self.metrics_out.as_deref(), runs)
-    }
-
-    /// Writes the trace dump: JSON-lines at `trace_out` plus the Chrome
-    /// `trace_event` twin at `<trace_out>.chrome.json`. Returns both
-    /// paths; no-op without `--trace-out`.
-    pub fn dump_trace(
+    /// Runs `f` observed on `registry`: the flight recorder on when
+    /// `--trace-out` asks for it (or `always_trace`), spans over
+    /// `--slow-us` promoted to the slow ring, and the sampler ticking every
+    /// [`SAMPLE_INTERVAL`] when `--series-out` asks for it. Afterwards
+    /// writes the series, the recorder window (JSON-lines plus its Chrome
+    /// twin) and a non-empty slow ring, and returns `f`'s result.
+    pub fn observe<R>(
         &self,
-        events: &[TraceEvent],
-    ) -> Option<(std::path::PathBuf, std::path::PathBuf)> {
-        let path = self.trace_out.as_deref()?;
-        write_file(path, &export::to_jsonl(events));
-        let mut chrome = path.as_os_str().to_owned();
-        chrome.push(".chrome.json");
-        let chrome = std::path::PathBuf::from(chrome);
-        write_file(&chrome, &export::to_chrome_trace(events));
-        Some((path.to_path_buf(), chrome))
+        registry: &Arc<Registry>,
+        always_trace: bool,
+        f: impl FnOnce() -> R,
+    ) -> R {
+        let tracer = registry.tracer();
+        if always_trace || self.trace_out.is_some() {
+            tracer.set_enabled(true);
+            if let Some(us) = self.slow_us {
+                tracer.set_slow_threshold_ns(us.saturating_mul(1_000));
+            }
+        }
+        let sampler = self
+            .series_out
+            .as_ref()
+            .map(|_| SamplerHandle::spawn(Arc::clone(registry), SAMPLE_INTERVAL));
+        let out = f();
+        if let (Some(path), Some(sampler)) = (&self.series_out, sampler) {
+            dump(path, &sampler.stop().to_json());
+        }
+        if let Some(path) = &self.trace_out {
+            self.dump_trace(&tracer.capture());
+            let slow = tracer.capture_slow();
+            if !slow.is_empty() {
+                dump(&suffixed(path, ".slow.jsonl"), &export::to_jsonl(&slow));
+            }
+        }
+        out
     }
 
-    /// Writes the sampler's series as JSON; no-op without
-    /// `--series-out`.
-    pub fn dump_series(&self, series: &TimeSeries) -> Option<std::path::PathBuf> {
-        let path = self.series_out.as_deref()?;
-        write_file(path, &series.to_json());
-        Some(path.to_path_buf())
-    }
-}
-
-fn write_file(path: &std::path::Path, contents: &str) {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output dir");
+    /// Writes a flight-recorder window as JSON-lines at `--trace-out` and
+    /// as Chrome `trace_event` JSON at `<path>.chrome.json`; no-op
+    /// without the flag.
+    pub fn dump_trace(&self, events: &[TraceEvent]) {
+        if let Some(path) = &self.trace_out {
+            dump(path, &export::to_jsonl(events));
+            dump(&suffixed(path, ".chrome.json"), &export::to_chrome_trace(events));
         }
     }
-    std::fs::write(path, contents).expect("write output file");
-}
 
-/// Tiny CLI-argument helper: returns the value following `--name`.
-pub fn arg_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Destination of the per-run metrics dump: the `--metrics-out <path>`
-/// option, falling back to the `SIAS_METRICS_OUT` environment variable.
-/// `None` disables the dump.
-pub fn metrics_out(args: &[String]) -> Option<std::path::PathBuf> {
-    arg_value(args, "--metrics-out")
-        .or_else(|| std::env::var("SIAS_METRICS_OUT").ok())
-        .map(std::path::PathBuf::from)
-}
-
-/// Writes labelled metrics snapshots to `dest` as one JSON object keyed
-/// by run label (`{"SI/600s": {...}, ...}`). Returns the path written;
-/// no-op when `dest` is `None`.
-pub fn dump_metrics(
-    dest: Option<&std::path::Path>,
-    runs: &[(String, MetricsSnapshot)],
-) -> Option<std::path::PathBuf> {
-    let path = dest?;
-    let mut out = String::from("{");
-    for (i, (label, snap)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// Writes labelled metrics snapshots as one JSON object keyed by run
+    /// label (`{"SI/600s": {...}, ...}`); no-op without `--metrics-out`.
+    pub fn dump_metrics(&self, runs: &[(String, MetricsSnapshot)]) {
+        let Some(path) = &self.metrics_out else { return };
+        let mut out = String::from("{");
+        for (i, (label, snap)) in runs.iter().enumerate() {
+            out.push_str(if i == 0 { "\n" } else { ",\n" });
+            push_json_string(&mut out, label);
+            out.push_str(": ");
+            out.push_str(&snap.to_json());
         }
-        out.push_str("\n\"");
-        out.push_str(&label.replace('\\', "\\\\").replace('"', "\\\""));
-        out.push_str("\": ");
-        out.push_str(&snap.to_json());
+        out.push_str("\n}\n");
+        dump(path, &out);
     }
-    out.push_str("\n}\n");
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create metrics dir");
-        }
-    }
-    std::fs::write(path, out).expect("write metrics");
-    Some(path.to_path_buf())
+}
+
+/// Writes `contents` to `path` and says so.
+fn dump(path: &Path, contents: &str) {
+    println!("wrote {}", write_file(path, contents).display());
+}
+
+/// `path` with `suffix` appended to its file name.
+fn suffixed(path: &Path, suffix: &str) -> PathBuf {
+    let mut p = path.as_os_str().to_owned();
+    p.push(suffix);
+    PathBuf::from(p)
 }
 
 #[cfg(test)]
@@ -513,25 +508,60 @@ mod tests {
         assert_eq!(cfg.pool_frames, 64);
     }
 
+    fn args(v: &[&str]) -> Args {
+        Args(v.iter().map(|s| s.to_string()).collect())
+    }
+
     #[test]
     fn arg_helper() {
-        let args: Vec<String> =
-            ["--wh", "100", "--engine", "si"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(arg_value(&args, "--wh").as_deref(), Some("100"));
-        assert_eq!(arg_value(&args, "--engine").as_deref(), Some("si"));
-        assert_eq!(arg_value(&args, "--missing"), None);
+        let a = args(&["--wh", "100", "--engine", "si", "--quick", "--durations", "600, 900"]);
+        assert_eq!(a.raw("--engine"), Some("si"));
+        assert_eq!(a.get("--wh", 50u32), 100);
+        assert_eq!(a.get("--missing", 7u64), 7, "an absent flag reads as its default");
+        assert_eq!(a.list("--durations", vec![1u64]), vec![600, 900]);
+        assert_eq!(a.list("--whs", vec![25u32, 50]), vec![25, 50]);
+        assert!(a.flag("--quick") && !a.flag("--ssi"));
+        assert_eq!(a.backend(Backend::Mem), Backend::Mem);
+        assert_eq!(args(&["--backend", "hdd"]).backend(Backend::Mem), Backend::Sim(Testbed::Hdd));
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --threads value \"eight\"")]
+    fn mistyped_number_panics() {
+        args(&["--threads", "eight"]).get("--threads", 8usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --durations value \"600,9OO\"")]
+    fn mistyped_list_item_panics() {
+        args(&["--durations", "600,9OO"]).list("--durations", vec![600u64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed needs a value")]
+    fn flag_without_value_panics() {
+        args(&["--quick", "--seed"]).get("--seed", 42u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "bad --backend value \"nvme\"")]
+    fn unknown_backend_panics() {
+        args(&["--backend", "nvme"]).backend(Backend::Mem);
     }
 
     #[test]
     fn metrics_out_prefers_cli_over_env() {
-        let args: Vec<String> = ["--metrics-out", "m.json"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(metrics_out(&args), Some(std::path::PathBuf::from("m.json")));
+        let obs = ObsArgs::parse(&args(&["--metrics-out", "m.json", "--slow-us", "250"]));
+        assert_eq!(obs.metrics_out, Some(PathBuf::from("m.json")));
+        assert_eq!(obs.slow_us, Some(250));
         // No flag and no env (the test env does not set SIAS_METRICS_OUT)
         // means no dump.
         if std::env::var("SIAS_METRICS_OUT").is_err() {
-            assert_eq!(metrics_out(&[]), None);
+            let none = ObsArgs::parse(&args(&[]));
+            assert_eq!(none.metrics_out, None);
+            assert!(!none.requested());
+            none.dump_metrics(&[]);
         }
-        assert_eq!(dump_metrics(None, &[]), None);
     }
 
     #[test]
@@ -539,10 +569,12 @@ mod tests {
         let db = SiasDb::open(StorageConfig::in_memory());
         let snap = db.metrics_snapshot();
         let path = std::env::temp_dir().join("sias_bench_metrics_dump_test.json");
-        let written = dump_metrics(Some(&path), &[("SIAS-t2/5s".to_string(), snap)]).expect("dump");
-        let contents = std::fs::read_to_string(&written).expect("read back");
-        std::fs::remove_file(&written).ok();
+        let obs = ObsArgs { metrics_out: Some(path.clone()), ..ObsArgs::default() };
+        obs.dump_metrics(&[("SIAS-t2/5s".to_string(), snap.clone()), ("a\"b".to_string(), snap)]);
+        let contents = std::fs::read_to_string(&path).expect("read back");
+        std::fs::remove_file(&path).ok();
         assert!(contents.contains("\"SIAS-t2/5s\": {"));
+        assert!(contents.contains("\"a\\\"b\": {"), "labels go through the one escaper");
         assert!(contents.contains("\"storage.wal.forces\""));
         assert!(contents.contains("\"core.engine.update\""));
     }
@@ -554,8 +586,9 @@ mod tests {
         // emulated-user cycles (keying + think ≈ 25 virtual seconds) long,
         // or whether any NewOrder lands in the measured interval is seed
         // luck.
-        let sias = run_cell(EngineKind::SiasT2, Testbed::Ssd, 2, 30, 256);
-        let si = run_cell(EngineKind::Si, Testbed::Ssd, 2, 30, 256);
+        let dcfg = DriverConfig::for_warehouses(2).with_duration(30);
+        let sias = run_cell(EngineKind::SiasT2, Testbed::Ssd.storage(256), 2, &dcfg);
+        let si = run_cell(EngineKind::Si, Testbed::Ssd.storage(256), 2, &dcfg);
         assert_eq!(sias.violations, 0);
         assert_eq!(si.violations, 0);
         assert!(sias.bench.new_order_commits > 0);

@@ -64,7 +64,7 @@ pub use metric::{
 };
 pub use recorder::{FlightRecorder, TraceConfig};
 pub use sampler::{IntervalHistogram, Sampler, SamplerHandle, SeriesPoint, TimeSeries};
-pub use snapshot::{HistogramSample, MetricSample, MetricsSnapshot, SampleValue};
+pub use snapshot::{push_json_string, HistogramSample, MetricSample, MetricsSnapshot, SampleValue};
 pub use span::{EventKind, SpanGuard, SpanName, TraceEvent, SPAN_NAME_COUNT};
 
 use std::collections::BTreeMap;

@@ -285,7 +285,9 @@ fn push_prom_label_value(out: &mut String, s: &str) {
     }
 }
 
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: quoted, with `"`, `\` and
+/// every control character escaped.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
