@@ -28,9 +28,9 @@ use std::sync::Arc;
 
 use sias_bench::report::{field, num, Gate, Op, Report, Row};
 use sias_bench::{Args, ObsArgs};
-use sias_core::{MaintenanceConfig, SiasDb};
+use sias_core::{MaintenanceConfig, SiasDb, DEFAULT_MAINT_PAGES_PER_SEC};
 use sias_obs::MetricsSnapshot;
-use sias_storage::{StorageConfig, WalConfig, DEFAULT_MAINT_PAGES_PER_SEC};
+use sias_storage::{StorageConfig, WalConfig};
 use sias_txn::MvccEngine;
 use sias_workload::{drive_threaded, drive_threaded_with_maintenance, ThreadedConfig};
 
@@ -58,9 +58,9 @@ fn run_cell(
     throttle: Option<u64>,
     tcfg: &ThreadedConfig,
 ) -> (Row, MetricsSnapshot) {
-    // A fresh engine per cell: the commit-latency histogram and the GC
-    // counters live on the engine's registry, so reusing a db would
-    // smear cells together.
+    // A fresh engine per cell: the commit-latency histogram
+    // (`span.txn.commit`) and the GC counters live on the engine's
+    // registry, so reusing a db would smear cells together.
     let db = Arc::new(SiasDb::open(storage_cfg()));
     let (run, totals) = match throttle {
         None => (drive_threaded(db.as_ref(), tcfg), None),
@@ -70,8 +70,7 @@ fn run_cell(
             (run, Some(totals))
         }
     };
-    let hist =
-        db.obs_registry().expect("sias registry").histogram("workload.threaded.commit_latency");
+    let hist = db.obs_registry().expect("sias registry").histogram("span.txn.commit");
     let snap = db.metrics_snapshot();
     let c = |name: &str| snap.counter(name).unwrap_or(0);
     let wall = run.wall.as_secs_f64();

@@ -576,7 +576,7 @@ mod tests {
         assert!(contents.contains("\"SIAS-t2/5s\": {"));
         assert!(contents.contains("\"a\\\"b\": {"), "labels go through the one escaper");
         assert!(contents.contains("\"storage.wal.forces\""));
-        assert!(contents.contains("\"core.engine.update\""));
+        assert!(contents.contains("\"span.engine.update\""));
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! the current [`PressureSignals`], so tests can drive it with synthetic
 //! load and the engine wires it to the live stack.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::RwLock;
 use sias_common::{SiasError, SiasResult};
@@ -203,7 +203,8 @@ impl AdmissionGate {
 
     /// Shared park loop: probes, parks `delay_tick` at a time while over
     /// limit, gives up once `max_delay` is spent. Publishes the pressure
-    /// gauge on every probe and records the total parked time.
+    /// gauge on every probe; the `admission.delay` span, whose clock
+    /// also bounds the wait, records the total parked time.
     fn wait_for_clearance(
         &self,
         cfg: &AdmissionConfig,
@@ -215,11 +216,10 @@ impl AdmissionGate {
         if mask == 0 {
             return Duration::ZERO;
         }
-        let start = Instant::now();
         let mut span = tracer.span(SpanName::AdmissionDelay);
         let mut ticks = 0u64;
         loop {
-            let elapsed = start.elapsed();
+            let elapsed = span.elapsed();
             if elapsed >= cfg.max_delay {
                 break;
             }
@@ -232,10 +232,8 @@ impl AdmissionGate {
             }
         }
         span.set_arg(ticks);
-        let waited = start.elapsed();
         self.metrics.delayed.inc();
-        self.metrics.delay_us.record(waited.as_micros() as u64);
-        waited
+        span.elapsed()
     }
 }
 
@@ -245,12 +243,14 @@ mod tests {
     use sias_obs::Registry;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
-    fn gate(cfg: AdmissionConfig) -> (AdmissionGate, Arc<Registry>, FlightRecorder) {
+    fn gate(cfg: AdmissionConfig) -> (AdmissionGate, Arc<Registry>, Arc<FlightRecorder>) {
         let obs = Registry::new_shared();
         let g = AdmissionGate::new(sias_txn::EngineMetrics::register(&obs).admission);
         g.set_config(cfg);
-        (g, obs, FlightRecorder::new(sias_obs::TraceConfig::default()))
+        let tracer = Arc::clone(obs.tracer());
+        (g, obs, tracer)
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
             delay_tick: Duration::from_millis(1),
             ..AdmissionConfig::default()
         };
-        let (g, _obs, tr) = gate(cfg);
+        let (g, obs, tr) = gate(cfg);
         // Pressure never clears: the begin must still be admitted after
         // roughly the delay budget — backpressure, not refusal.
         let start = Instant::now();
@@ -282,6 +282,10 @@ mod tests {
         assert_eq!(g.metrics.admitted.get(), 1);
         assert_eq!(g.metrics.delayed.get(), 1);
         assert_eq!(g.metrics.pressure.get(), 1); // txns bit
+        let snap = obs.snapshot();
+        let delay = snap.histogram("span.admission.delay").unwrap();
+        assert_eq!(delay.count, 1, "the span records the park");
+        assert!(delay.sum >= waited.as_nanos() as u64);
     }
 
     #[test]

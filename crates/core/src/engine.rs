@@ -23,7 +23,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_index::BPlusTree;
-use sias_obs::{time, Registry, SpanName};
+use sias_obs::{Registry, SpanName};
 use sias_storage::{BufferPool, StorageConfig, StorageStack, WalRecord};
 use sias_txn::{Clog, EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn, TxnStatus};
 
@@ -101,7 +101,7 @@ impl SiasDb {
             bgwriter_budget: 128,
             metrics,
             scan_pool,
-            maint: MaintState::new(cfg.maint_pages_per_sec),
+            maint: MaintState::default(),
             admission,
         }
     }
@@ -182,10 +182,11 @@ impl SiasDb {
     /// Inserts a new data item; returns its fresh VID (Algorithm 2).
     pub fn insert_item(&self, txn: &Txn, rel: RelId, payload: &[u8]) -> SiasResult<Vid> {
         let _span = self.metrics.tracer.span(SpanName::EngineInsert).txn(txn.xid.0);
-        time!(self.metrics.insert, self.insert_item_inner(txn, rel, payload))
+        self.insert_item_inner(txn, rel, payload)
     }
 
-    // Body split out so the `time!` wrapper records even on `?` early exits.
+    // Body split out so the key-level insert, which opens its own span,
+    // is not timed twice.
     fn insert_item_inner(&self, txn: &Txn, rel: RelId, payload: &[u8]) -> SiasResult<Vid> {
         // Fail fast, typed: no media write under ReadOnly health or past
         // the hard space watermark, and none after the deadline passed.
@@ -211,7 +212,7 @@ impl SiasDb {
     /// abort with [`SiasError::WriteConflict`] when the winner committed.
     pub fn update_item(&self, txn: &Txn, rel: RelId, vid: Vid, payload: &[u8]) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineUpdate).txn(txn.xid.0);
-        time!(self.metrics.update, self.modify_item(txn, rel, vid, Some(payload), None))
+        self.modify_item(txn, rel, vid, Some(payload), None)
     }
 
     /// Deletes a data item by appending a tombstone version (§4.2.2).
@@ -219,7 +220,7 @@ impl SiasDb {
     /// drop the ⟨key, VID⟩ index record once the whole item is dead.
     pub fn delete_item(&self, txn: &Txn, rel: RelId, vid: Vid, key: Option<u64>) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineDelete).txn(txn.xid.0);
-        time!(self.metrics.delete, self.modify_item(txn, rel, vid, None, key))
+        self.modify_item(txn, rel, vid, None, key)
     }
 
     fn modify_item(
@@ -316,9 +317,11 @@ impl SiasDb {
     /// the item does not exist (or is deleted) in this snapshot.
     pub fn read_item(&self, txn: &Txn, rel: RelId, vid: Vid) -> SiasResult<Option<Bytes>> {
         let _span = self.metrics.tracer.span(SpanName::EngineGet).txn(txn.xid.0);
-        time!(self.metrics.get, self.read_item_inner(txn, rel, vid))
+        self.read_item_inner(txn, rel, vid)
     }
 
+    // Split out like `insert_item_inner`: the key-level ops read through
+    // it under their own span.
     fn read_item_inner(&self, txn: &Txn, rel: RelId, vid: Vid) -> SiasResult<Option<Bytes>> {
         let r = self.relation_handle(rel)?;
         let Some(entry) = r.vidmap.get(vid) else { return Ok(None) };
@@ -519,99 +522,6 @@ impl SiasDb {
         Ok(map)
     }
 
-    // ------------------------------------------------------------------
-    // Key-level op bodies (timed by the MvccEngine wrappers below).
-    // ------------------------------------------------------------------
-
-    fn insert_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        for vid in r.index.lookup(key)? {
-            if self.read_item_inner(txn, rel, Vid(vid))?.is_some() {
-                return Err(SiasError::Index(format!("duplicate key {key}")));
-            }
-        }
-        let vid = self.insert_item_inner(txn, rel, payload)?;
-        self.stack.wal.append(&WalRecord::IndexInsert { xid: txn.xid, rel, key, value: vid.0 });
-        r.index.insert(key, vid.0)?;
-        // The SSI write hook runs once a reader's walk can reach the
-        // version: here after its index record, for updates and deletes
-        // after their VID-map swing.
-        self.txm.ssi_write(txn, rel, key)
-    }
-
-    fn update_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        for vid in r.index.lookup(key)? {
-            let vid = Vid(vid);
-            if self.read_item_inner(txn, rel, vid)?.is_some() {
-                // A non-key update leaves the index untouched (§4.3
-                // Example 2) — the VID map swing is the whole story.
-                self.modify_item(txn, rel, vid, Some(payload), None)?;
-                return self.txm.ssi_write(txn, rel, key);
-            }
-        }
-        Err(SiasError::KeyNotFound(key))
-    }
-
-    fn delete_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        for vid in r.index.lookup(key)? {
-            let vid = Vid(vid);
-            if self.read_item_inner(txn, rel, vid)?.is_some() {
-                self.modify_item(txn, rel, vid, None, Some(key))?;
-                return self.txm.ssi_write(txn, rel, key);
-            }
-        }
-        Err(SiasError::KeyNotFound(key))
-    }
-
-    fn get_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<Option<Bytes>> {
-        let r = self.relation_handle(rel)?;
-        self.ssi_read(txn, rel, key)?;
-        for vid in r.index.lookup(key)? {
-            if let Some(payload) = self.read_item_inner(txn, rel, Vid(vid))? {
-                return Ok(Some(payload));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Key-range scan: the index records in `[lo, hi]` are resolved to
-    /// chain entrypoints through the VID map (records whose slot GC
-    /// cleared are skipped, as in [`SiasDb::read_item`]), then all
-    /// chains are walked together with [`resolve_visible`].
-    fn scan_range_inner(
-        &self,
-        txn: &Txn,
-        rel: RelId,
-        lo: u64,
-        hi: u64,
-    ) -> SiasResult<Vec<(u64, Bytes)>> {
-        let r = self.relation_handle(rel)?;
-        let (keys, entries): (Vec<u64>, Vec<(Vid, Tid)>) = r
-            .index
-            .range(lo, hi)?
-            .into_iter()
-            .filter_map(|(key, vid)| Some((key, (Vid(vid), r.vidmap.get(Vid(vid))?))))
-            .unzip();
-        let visible = resolve_visible(
-            &self.stack.pool,
-            &self.txm.clog,
-            &self.metrics,
-            rel,
-            &entries,
-            &txn.snapshot,
-            txn.deadline,
-        )?;
-        visible
-            .into_iter()
-            .map(|(i, payload)| {
-                self.ssi_read(txn, rel, keys[i])?;
-                Ok((keys[i], payload))
-            })
-            .collect()
-    }
-
     /// Emergency space reclaim: a vacuum pass (frees dead versions so
     /// the redo point can advance) followed by a full checkpoint (which
     /// truncates the WAL to the new redo point), then a watermark
@@ -785,27 +695,90 @@ impl MvccEngine for SiasDb {
 
     fn insert(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineInsert).txn(txn.xid.0);
-        time!(self.metrics.insert, self.insert_inner(txn, rel, key, payload))
+        let r = self.relation_handle(rel)?;
+        for vid in r.index.lookup(key)? {
+            if self.read_item_inner(txn, rel, Vid(vid))?.is_some() {
+                return Err(SiasError::Index(format!("duplicate key {key}")));
+            }
+        }
+        let vid = self.insert_item_inner(txn, rel, payload)?;
+        self.stack.wal.append(&WalRecord::IndexInsert { xid: txn.xid, rel, key, value: vid.0 });
+        r.index.insert(key, vid.0)?;
+        // The SSI write hook runs once a reader's walk can reach the
+        // version: here after its index record, for updates and deletes
+        // after their VID-map swing.
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn update(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineUpdate).txn(txn.xid.0);
-        time!(self.metrics.update, self.update_inner(txn, rel, key, payload))
+        let r = self.relation_handle(rel)?;
+        for vid in r.index.lookup(key)? {
+            let vid = Vid(vid);
+            if self.read_item_inner(txn, rel, vid)?.is_some() {
+                // A non-key update leaves the index untouched (§4.3
+                // Example 2) — the VID map swing is the whole story.
+                self.modify_item(txn, rel, vid, Some(payload), None)?;
+                return self.txm.ssi_write(txn, rel, key);
+            }
+        }
+        Err(SiasError::KeyNotFound(key))
     }
 
     fn delete(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineDelete).txn(txn.xid.0);
-        time!(self.metrics.delete, self.delete_inner(txn, rel, key))
+        let r = self.relation_handle(rel)?;
+        for vid in r.index.lookup(key)? {
+            let vid = Vid(vid);
+            if self.read_item_inner(txn, rel, vid)?.is_some() {
+                self.modify_item(txn, rel, vid, None, Some(key))?;
+                return self.txm.ssi_write(txn, rel, key);
+            }
+        }
+        Err(SiasError::KeyNotFound(key))
     }
 
     fn get(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<Option<Bytes>> {
         let _span = self.metrics.tracer.span(SpanName::EngineGet).txn(txn.xid.0);
-        time!(self.metrics.get, self.get_inner(txn, rel, key))
+        let r = self.relation_handle(rel)?;
+        self.ssi_read(txn, rel, key)?;
+        for vid in r.index.lookup(key)? {
+            if let Some(payload) = self.read_item_inner(txn, rel, Vid(vid))? {
+                return Ok(Some(payload));
+            }
+        }
+        Ok(None)
     }
 
+    // Key-range scan: the index records in `[lo, hi]` are resolved to
+    // chain entrypoints through the VID map (records whose slot GC
+    // cleared are skipped, as in `SiasDb::read_item`), then all chains
+    // are walked together with `resolve_visible`.
     fn scan_range(&self, txn: &Txn, rel: RelId, lo: u64, hi: u64) -> SiasResult<Vec<(u64, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanRange).txn(txn.xid.0);
-        time!(self.metrics.scan, self.scan_range_inner(txn, rel, lo, hi))
+        let r = self.relation_handle(rel)?;
+        let (keys, entries): (Vec<u64>, Vec<(Vid, Tid)>) = r
+            .index
+            .range(lo, hi)?
+            .into_iter()
+            .filter_map(|(key, vid)| Some((key, (Vid(vid), r.vidmap.get(Vid(vid))?))))
+            .unzip();
+        let visible = resolve_visible(
+            &self.stack.pool,
+            &self.txm.clog,
+            &self.metrics,
+            rel,
+            &entries,
+            &txn.snapshot,
+            txn.deadline,
+        )?;
+        visible
+            .into_iter()
+            .map(|(i, payload)| {
+                self.ssi_read(txn, rel, keys[i])?;
+                Ok((keys[i], payload))
+            })
+            .collect()
     }
 
     fn maintenance(&self, checkpoint: bool) {
@@ -1506,7 +1479,7 @@ mod tests {
         db.insert(&t, rel, 1, b"v0").unwrap();
         db.commit(t).unwrap();
         let before = db.metrics_snapshot();
-        let updates_before = before.histogram("core.engine.update").unwrap().count;
+        let updates_before = before.histogram("span.engine.update").unwrap().count;
         let depth_max_before = before.histogram("core.engine.chain_depth").unwrap().max;
         assert!(depth_max_before <= 1, "no chain longer than one version yet");
 
@@ -1521,9 +1494,9 @@ mod tests {
 
         let after = db.metrics_snapshot();
         assert_eq!(
-            after.histogram("core.engine.update").unwrap().count,
+            after.histogram("span.engine.update").unwrap().count,
             updates_before + 1,
-            "the public update op must increment core.engine.update"
+            "the public update op must increment span.engine.update"
         );
         assert_eq!(
             after.histogram("core.engine.chain_depth").unwrap().max,
@@ -1534,7 +1507,7 @@ mod tests {
         for name in [
             "storage.buffer.hits",
             "storage.wal.forces",
-            "core.engine.insert",
+            "span.engine.insert",
             "core.vidmap.lookups",
             "core.gc.runs",
             "txn.manager.commits",
@@ -1580,6 +1553,11 @@ mod tests {
     #[test]
     fn tracing_off_records_zero_events_and_allocates_nothing() {
         let (db, rel) = db();
+        let timed = ["txn.begin", "engine.insert", "engine.update", "engine.get", "txn.commit"];
+        let counts = |snap: &sias_obs::MetricsSnapshot| {
+            timed.map(|n| snap.histogram(&format!("span.{n}")).expect("registered").count)
+        };
+        let before = counts(&db.metrics_snapshot());
         let t = db.begin();
         db.insert(&t, rel, 1, b"v1").unwrap();
         db.update(&t, rel, 1, b"v2").unwrap();
@@ -1589,6 +1567,8 @@ mod tests {
         assert_eq!(tracer.total_recorded(), 0, "untraced runs must record nothing");
         assert_eq!(tracer.memory_bytes(), 0, "rings must stay unallocated");
         assert!(tracer.capture().is_empty());
+        // The span histograms count whether or not the ring is on.
+        assert_eq!(counts(&db.metrics_snapshot()), before.map(|c| c + 1));
     }
 
     #[test]

@@ -51,7 +51,6 @@
 
 use sias_obs::SpanName;
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use sias_common::{BlockId, RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_txn::TxnStatus;
@@ -188,7 +187,6 @@ impl SiasDb {
         rel: RelId,
         threshold: f64,
     ) -> SiasResult<GcStats> {
-        let pause_start = Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcVacuum);
         if self.txm.active_count() != 0 {
             return Err(SiasError::Device(
@@ -209,7 +207,7 @@ impl SiasDb {
         }
         #[cfg(debug_assertions)]
         self.debug_validate_index(rel)?;
-        self.record_gc(&stats, pause_start);
+        self.record_gc(&stats);
         span.set_arg(stats.versions_discarded);
         Ok(stats)
     }
@@ -250,7 +248,6 @@ impl SiasDb {
         opts: &GcSliceOpts,
         interrupt: &mut dyn FnMut(GcCrashPoint) -> bool,
     ) -> SiasResult<GcStats> {
-        let pause_start = Instant::now();
         let mut span = self.metrics.tracer.span(SpanName::GcSlice);
         let r = self.relation_handle(rel)?;
         let mut stats = GcStats::default();
@@ -262,7 +259,7 @@ impl SiasDb {
                 }
             }
         }
-        self.record_gc(&stats, pause_start);
+        self.record_gc(&stats);
         self.metrics.gc_slices.inc();
         span.set_arg(stats.pages_examined);
         Ok(stats)
@@ -271,7 +268,7 @@ impl SiasDb {
     /// Books one public GC call, each outcome once: the `core.gc.*`
     /// metrics plus the two only GC carries,
     /// `storage.gc.{pages_deferred,cas_skipped}`.
-    fn record_gc(&self, stats: &GcStats, pause_start: Instant) {
+    fn record_gc(&self, stats: &GcStats) {
         let m = &self.metrics;
         m.gc_runs.inc();
         m.gc_pages_examined.add(stats.pages_examined);
@@ -281,7 +278,6 @@ impl SiasDb {
         m.gc_items_cleared.add(stats.items_cleared);
         m.gc_items_contended.add(stats.items_contended);
         m.gc_pages_deferred.add(stats.pages_deferred);
-        m.gc_pause.record_duration(pause_start.elapsed());
     }
 
     /// The GC step for one block: classifies every data item with a
@@ -767,7 +763,6 @@ mod tests {
             wal: sias_storage::WalConfig::default(),
             trace_capacity: sias_storage::DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 0,
-            maint_pages_per_sec: sias_storage::DEFAULT_MAINT_PAGES_PER_SEC,
             space: sias_storage::SpaceConfig::default(),
         };
         let db = SiasDb::open_with_policy(storage, FlushPolicy::T2);

@@ -50,7 +50,10 @@ pub use append::{AppendRegion, FlushPolicy};
 pub use checkpoint::CheckpointStats;
 pub use engine::{SiasDb, SiasRelation};
 pub use gc::{GcCrashPoint, GcSliceOpts, GcStats, DEFAULT_VACUUM_THRESHOLD};
-pub use maintenance::{MaintCursors, MaintenanceConfig, MaintenanceScheduler, MaintenanceTotals};
+pub use maintenance::{
+    MaintCursors, MaintenanceConfig, MaintenanceScheduler, MaintenanceTotals,
+    DEFAULT_MAINT_PAGES_PER_SEC,
+};
 pub use recovery::RecoveryStats;
 pub use scanpool::ScanPool;
 pub use scrub::ScrubStats;

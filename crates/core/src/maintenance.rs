@@ -51,31 +51,12 @@ pub(crate) struct DeferredPage {
 }
 
 /// Engine-resident state shared by the maintenance subsystems.
+#[derive(Default)]
 pub(crate) struct MaintState {
     /// Relocated victim pages awaiting their horizon-gated recycle.
     pub(crate) deferred: Mutex<Vec<DeferredPage>>,
     /// WAL byte LSN at the last checkpoint (pacing watermark).
     pub(crate) last_ckpt_lsn: AtomicU64,
-    /// Configured scheduler throttle ([`StorageConfig::maint_pages_per_sec`]).
-    ///
-    /// [`StorageConfig::maint_pages_per_sec`]: sias_storage::StorageConfig
-    pub(crate) pages_per_sec: u64,
-}
-
-impl Default for MaintState {
-    fn default() -> Self {
-        MaintState::new(sias_storage::DEFAULT_MAINT_PAGES_PER_SEC)
-    }
-}
-
-impl MaintState {
-    pub(crate) fn new(pages_per_sec: u64) -> Self {
-        MaintState {
-            deferred: Mutex::new(Vec::new()),
-            last_ckpt_lsn: AtomicU64::new(0),
-            pages_per_sec,
-        }
-    }
 }
 
 /// The block order of every GC and scrub sweep, slice or whole pass:
@@ -128,6 +109,10 @@ impl Iterator for BlockSweep<'_> {
     }
 }
 
+/// Default maintenance throttle: generous enough to keep up with an
+/// 8-thread update-heavy driver, small enough that slices stay short.
+pub const DEFAULT_MAINT_PAGES_PER_SEC: u64 = 4096;
+
 /// Tuning of the background maintenance scheduler.
 #[derive(Clone, Copy, Debug)]
 pub struct MaintenanceConfig {
@@ -160,7 +145,7 @@ pub struct MaintenanceConfig {
 impl Default for MaintenanceConfig {
     fn default() -> Self {
         MaintenanceConfig {
-            pages_per_sec: sias_storage::DEFAULT_MAINT_PAGES_PER_SEC,
+            pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             // Small slices keep the worst-case foreground collision (a
             // commit preempted for one whole tick) short; the duty
             // floor, not the slice size, sets sustained throughput.
@@ -175,10 +160,10 @@ impl Default for MaintenanceConfig {
 }
 
 impl MaintenanceConfig {
-    /// Defaults with the throttle the database was opened with
-    /// (`StorageConfig::maint_pages_per_sec`).
-    pub fn for_db(db: &SiasDb) -> Self {
-        MaintenanceConfig { pages_per_sec: db.maint.pages_per_sec, ..Default::default() }
+    /// The configuration a scheduler for `db` starts from: the
+    /// defaults, whatever the database.
+    pub fn for_db(_db: &SiasDb) -> Self {
+        MaintenanceConfig::default()
     }
 
     /// Overrides the throttle (pages/s of wall-clock; 0 = unthrottled).

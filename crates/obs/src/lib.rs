@@ -1,11 +1,11 @@
 //! # sias-obs — unified metrics and tracing for the SIAS stack
 //!
-//! One registry per engine instance (plus an opt-in process-global one)
-//! holding named counters, gauges, and log-bucketed histograms. Names
-//! follow `<crate>.<component>.<name>` — e.g. `storage.buffer.hits`,
-//! `core.engine.update`, `txn.manager.aborts_write_conflict` — and the
-//! SIAS engine and the SI baseline register the *same* names so their
-//! snapshots are directly comparable.
+//! One registry per engine instance holding named counters, gauges, and
+//! log-bucketed histograms. Names follow `<crate>.<component>.<name>` —
+//! e.g. `storage.buffer.hits`, `core.engine.chain_depth`,
+//! `txn.manager.aborts_write_conflict` — and the SIAS engine and the SI
+//! baseline register the *same* names so their snapshots are directly
+//! comparable.
 //!
 //! Hot paths resolve their handles once (an `Arc` per metric) and then
 //! record with relaxed atomics: no locks, no allocation, no formatting.
@@ -13,38 +13,33 @@
 //! that serializes to JSON ([`MetricsSnapshot::to_json`]) and Prometheus
 //! text ([`MetricsSnapshot::to_prometheus`]).
 //!
-//! Each registry also owns a [`FlightRecorder`] ([`Registry::tracer`]):
-//! a bounded, lock-free ring of structured span events covering the
-//! transaction lifecycle (`txn.begin` → `engine.*` → `wal.append` →
-//! `wal.force` → `txn.commit`). Disabled it costs one relaxed load per
-//! span; enabled it keeps the last N events per thread shard for
-//! post-hoc dumps ([`export::to_jsonl`], [`export::to_chrome_trace`]).
-//! The [`sampler`] module turns periodic snapshots into time series.
-//!
-//! ```
-//! use sias_obs::Registry;
-//!
-//! let reg = Registry::new();
-//! let hits = reg.counter("storage.buffer.hits");
-//! hits.inc();
-//! let lat = reg.histogram("core.engine.update");
-//! sias_obs::time!(lat, { /* instrumented work */ });
-//! let snap = reg.snapshot();
-//! assert_eq!(snap.counter("storage.buffer.hits"), Some(1));
-//! assert_eq!(snap.histogram("core.engine.update").unwrap().count, 1);
-//! ```
-//!
-//! Tracing:
+//! Each registry also owns a [`FlightRecorder`] ([`Registry::tracer`]).
+//! A span ([`FlightRecorder::span`]) is the one timer: its guard records
+//! the duration into the registry histogram `span.<name>` when it drops,
+//! always, for the whole latency chain (`admission.delay` → `txn.begin`
+//! → `engine.*` → `pool.miss` → `wal.append` → `wal.force_wait` /
+//! `wal.force` → `txn.commit`). Enabled, the recorder also keeps the
+//! last N span events per thread shard in a bounded, lock-free ring for
+//! causality and post-hoc dumps ([`export::to_jsonl`],
+//! [`export::to_chrome_trace`]). The [`sampler`] module turns periodic
+//! snapshots into time series.
 //!
 //! ```
 //! use sias_obs::{Registry, SpanName};
 //!
 //! let reg = Registry::new();
-//! reg.tracer().set_enabled(true);
+//! reg.counter("storage.buffer.hits").inc();
 //! {
 //!     let _span = reg.tracer().span(SpanName::TxnCommit).txn(7);
 //!     // ... commit critical path ...
 //! }
+//! let snap = reg.snapshot();
+//! assert_eq!(snap.counter("storage.buffer.hits"), Some(1));
+//! assert_eq!(snap.histogram("span.txn.commit").unwrap().count, 1);
+//! assert!(reg.tracer().capture().is_empty(), "the ring is off by default");
+//!
+//! reg.tracer().set_enabled(true);
+//! drop(reg.tracer().span(SpanName::TxnCommit));
 //! assert_eq!(reg.tracer().capture().len(), 1);
 //! ```
 
@@ -196,25 +191,18 @@ impl Registry {
     /// # let reg = sias_obs::Registry::new();
     /// let mut h = reg.handles();
     /// let hits = h.counter("storage.buffer.hits");
-    /// let lat = h.histogram("core.engine.get");
+    /// let depth = h.histogram("core.engine.chain_depth");
     /// drop(h); // releases the registry lock
     /// ```
     pub fn handles(&self) -> BulkResolver<'_> {
         BulkResolver { map: self.metrics.write().unwrap_or_else(|e| e.into_inner()) }
     }
 
-    /// This registry's flight recorder (created on first call, disabled
-    /// until [`FlightRecorder::set_enabled`]; ring memory is not
-    /// allocated until first enable).
+    /// This registry's flight recorder. The first call creates it and
+    /// registers its 25 `span.*` histograms here; its ring stays off
+    /// (and unallocated) until [`FlightRecorder::set_enabled`].
     pub fn tracer(&self) -> &Arc<FlightRecorder> {
-        self.tracer.get_or_init(|| Arc::new(FlightRecorder::new(TraceConfig::default())))
-    }
-
-    /// Like [`Registry::tracer`] but with an explicit configuration.
-    /// The first initializer wins; later calls return the existing
-    /// recorder regardless of `config`.
-    pub fn tracer_with_config(&self, config: TraceConfig) -> &Arc<FlightRecorder> {
-        self.tracer.get_or_init(|| Arc::new(FlightRecorder::new(config)))
+        self.tracer.get_or_init(|| Arc::new(FlightRecorder::new(TraceConfig::default(), self)))
     }
 
     /// Captures every registered metric. Concurrent recorders may land
@@ -274,54 +262,6 @@ impl BulkResolver<'_> {
     pub fn histogram(&mut self, name: &str) -> Arc<Histogram> {
         intern_histogram(&mut self.map, name)
     }
-}
-
-/// The process-global registry, for call sites with no engine handy
-/// (`obs::time!("name", { .. })`). Engine metrics live in per-engine
-/// registries instead.
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::new)
-}
-
-/// Times a block into a histogram and evaluates to the block's value.
-///
-/// Three forms:
-///
-/// ```
-/// # use sias_obs::Registry;
-/// # let registry = Registry::new();
-/// // 1. Global registry by name (convenient, one lookup per use):
-/// let x = sias_obs::time!("engine.update", { 2 + 2 });
-///
-/// // 2. Explicit registry + name:
-/// let y = sias_obs::time!(registry, "core.engine.update", { x + 1 });
-///
-/// // 3. Pre-resolved histogram handle (hot paths, zero lookups):
-/// let h = registry.histogram("core.engine.scan");
-/// let z = sias_obs::time!(h, { y + 1 });
-/// assert_eq!(z, 6);
-/// ```
-#[macro_export]
-macro_rules! time {
-    ($name:literal, $body:expr) => {{
-        let __obs_start = ::std::time::Instant::now();
-        let __obs_out = $body;
-        $crate::global().histogram($name).record_duration(__obs_start.elapsed());
-        __obs_out
-    }};
-    ($registry:expr, $name:expr, $body:expr) => {{
-        let __obs_start = ::std::time::Instant::now();
-        let __obs_out = $body;
-        ($registry).histogram($name).record_duration(__obs_start.elapsed());
-        __obs_out
-    }};
-    ($hist:expr, $body:expr) => {{
-        let __obs_start = ::std::time::Instant::now();
-        let __obs_out = $body;
-        ($hist).record_duration(__obs_start.elapsed());
-        __obs_out
-    }};
 }
 
 #[cfg(test)]
@@ -387,6 +327,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t1, &t2));
         assert!(!t1.is_enabled());
         assert_eq!(t1.memory_bytes(), 0); // no rings until first enable
+        assert_eq!(reg.len(), 25, "the span histograms exist before any span");
     }
 
     #[test]
@@ -401,23 +342,5 @@ mod tests {
         assert_eq!(s.gauge("g"), Some(-2));
         let h = s.histogram("h").unwrap();
         assert_eq!((h.count, h.sum, h.max), (1, 31, 31));
-    }
-
-    #[test]
-    fn time_macro_forms() {
-        let reg = Registry::new();
-        let out = time!(reg, "m.n.o", { 40 + 2 });
-        assert_eq!(out, 42);
-        assert_eq!(reg.snapshot().histogram("m.n.o").unwrap().count, 1);
-
-        let h = reg.histogram("m.n.handle");
-        let out = time!(h, { "done" });
-        assert_eq!(out, "done");
-        assert_eq!(h.count(), 1);
-
-        let before = global().snapshot().histogram("obs.test.global").map(|h| h.count).unwrap_or(0);
-        time!("obs.test.global", {});
-        let after = global().snapshot().histogram("obs.test.global").unwrap().count;
-        assert_eq!(after, before + 1);
     }
 }

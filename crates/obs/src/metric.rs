@@ -128,12 +128,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records a wall-clock duration in nanoseconds.
-    #[inline]
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Acquire)
     }

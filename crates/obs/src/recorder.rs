@@ -1,5 +1,13 @@
-//! The flight recorder: sharded, bounded, lock-free rings of fixed-size
-//! trace events.
+//! The flight recorder: one always-on latency histogram per span name,
+//! plus sharded, bounded, lock-free rings of fixed-size trace events.
+//!
+//! # Histograms and ring
+//!
+//! Every span records its duration into the `span.<name>` histogram of
+//! the registry the recorder was built with, whether or not tracing is
+//! on: that is the latency record, and it cannot drop data. The ring
+//! only adds causality (which span ran inside which, on which thread,
+//! for which transaction) while [`FlightRecorder::set_enabled`] is on.
 //!
 //! # Design
 //!
@@ -34,10 +42,11 @@
 //! [`FlightRecorder::dropped`] is sound — it can never under-report.
 
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use crate::span::{EventKind, SpanGuard, SpanName, TraceEvent};
+use crate::span::{EventKind, SpanGuard, SpanName, TraceEvent, SPAN_NAME_COUNT};
+use crate::{Histogram, Registry};
 
 /// Words per ring slot: header, meta, start_ns, dur_ns, txn, arg.
 const WORDS: usize = 6;
@@ -180,8 +189,9 @@ fn current_tid() -> u16 {
     })
 }
 
-/// The always-available tracing sink of one registry. Cheap when
-/// disabled: `span()`/`instant()` are one relaxed load.
+/// The span sink of one registry. With the ring disabled a span costs
+/// two clock reads and one histogram record, an instant one relaxed
+/// load.
 pub struct FlightRecorder {
     enabled: AtomicBool,
     epoch: Instant,
@@ -190,10 +200,20 @@ pub struct FlightRecorder {
     rings: OnceLock<Rings>,
     spans_opened: AtomicU64,
     spans_closed: AtomicU64,
+    /// `span.<name>` per name, indexed by `SpanName as usize`; `None`
+    /// for the instants.
+    latency: [Option<Arc<Histogram>>; SPAN_NAME_COUNT as usize],
 }
 
 impl FlightRecorder {
-    pub fn new(config: TraceConfig) -> Self {
+    /// A recorder whose span histograms live in `obs`, which gains all
+    /// 25 `span.*` names now, before any span opens.
+    pub fn new(config: TraceConfig, obs: &Registry) -> Self {
+        let mut h = obs.handles();
+        let latency = std::array::from_fn(|i| {
+            let name = SpanName::from_u16(i as u16).expect("every index below the count is a name");
+            name.histogram_name().map(|n| h.histogram(&n))
+        });
         FlightRecorder {
             enabled: AtomicBool::new(false),
             epoch: Instant::now(),
@@ -202,6 +222,7 @@ impl FlightRecorder {
             rings: OnceLock::new(),
             spans_opened: AtomicU64::new(0),
             spans_closed: AtomicU64::new(0),
+            latency,
         }
     }
 
@@ -238,20 +259,19 @@ impl FlightRecorder {
         })
     }
 
-    /// Opens a span; the returned guard records on drop. Inert (and
-    /// nearly free) while disabled.
+    /// Opens a span; the returned guard records its duration on drop,
+    /// and writes it to the ring too if tracing is enabled now.
     #[inline]
     pub fn span(&self, name: SpanName) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard::inert(name);
-        }
-        let depth = DEPTH.with(|d| {
-            let v = d.get();
-            d.set(v.saturating_add(1));
-            v
+        let depth = self.is_enabled().then(|| {
+            self.spans_opened.fetch_add(1, Ordering::Relaxed);
+            DEPTH.with(|d| {
+                let v = d.get();
+                d.set(v.saturating_add(1));
+                v
+            })
         });
-        self.spans_opened.fetch_add(1, Ordering::Relaxed);
-        SpanGuard::live(self, name, depth)
+        SpanGuard { rec: self, name, start: Instant::now(), txn: 0, arg: 0, depth }
     }
 
     /// Records a point event (no duration).
@@ -268,20 +288,23 @@ impl FlightRecorder {
     }
 
     /// Called by [`SpanGuard::drop`]; not public API.
-    pub(crate) fn close_span(&self, name: SpanName, depth: u8, start: Instant, txn: u64, arg: u64) {
+    pub(crate) fn close_span(&self, span: &SpanGuard<'_>) {
+        let dur_ns = ns_since(span.start, Instant::now());
+        if let Some(h) = &self.latency[span.name as usize] {
+            h.record(dur_ns);
+        }
+        let Some(depth) = span.depth else { return };
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         self.spans_closed.fetch_add(1, Ordering::Relaxed);
         let Some(rings) = self.rings.get() else { return };
-        let now = Instant::now();
-        let start_ns = ns_since(self.epoch, start);
-        let dur_ns = ns_since(start, now);
+        let start_ns = ns_since(self.epoch, span.start);
         let tid = current_tid();
-        let meta = pack_meta(EventKind::Span, name, tid, depth);
+        let meta = pack_meta(EventKind::Span, span.name, tid, depth);
         let shard = &rings.shards[tid as usize % rings.shards.len()];
-        shard.write(meta, start_ns, dur_ns, txn, arg);
+        shard.write(meta, start_ns, dur_ns, span.txn, span.arg);
         let threshold = self.slow_threshold_ns.load(Ordering::Relaxed);
         if threshold > 0 && dur_ns >= threshold {
-            rings.slow.write(meta, start_ns, dur_ns, txn, arg);
+            rings.slow.write(meta, start_ns, dur_ns, span.txn, span.arg);
         }
     }
 
@@ -393,18 +416,19 @@ impl std::fmt::Debug for FlightRecorder {
 mod tests {
     use super::*;
 
-    fn tiny() -> FlightRecorder {
-        FlightRecorder::new(TraceConfig {
-            shards: 2,
-            capacity: 8,
-            slow_capacity: 4,
-            slow_threshold_ns: 0,
-        })
+    fn tiny() -> (FlightRecorder, Registry) {
+        let obs = Registry::new();
+        let cfg = TraceConfig { shards: 2, capacity: 8, slow_capacity: 4, slow_threshold_ns: 0 };
+        (FlightRecorder::new(cfg, &obs), obs)
+    }
+
+    fn span_count(obs: &Registry, name: &str) -> u64 {
+        obs.snapshot().histogram(name).expect("registered with the recorder").count
     }
 
     #[test]
-    fn disabled_recorder_is_inert_and_empty() {
-        let rec = tiny();
+    fn disabled_recorder_keeps_histograms_but_no_ring() {
+        let (rec, obs) = tiny();
         {
             let _g = rec.span(SpanName::TxnCommit);
         }
@@ -413,11 +437,13 @@ mod tests {
         assert_eq!(rec.memory_bytes(), 0);
         assert!(rec.capture().is_empty());
         assert_eq!(rec.dropped(), 0);
+        assert_eq!(span_count(&obs, "span.txn.commit"), 1);
+        assert_eq!(obs.len(), 25, "one histogram per duration name, none for instants");
     }
 
     #[test]
     fn records_and_captures_span_fields() {
-        let rec = tiny();
+        let (rec, _obs) = tiny();
         rec.set_enabled(true);
         {
             let _g = rec.span(SpanName::WalForce).txn(42).arg(7);
@@ -434,7 +460,7 @@ mod tests {
 
     #[test]
     fn nesting_depth_is_recorded() {
-        let rec = tiny();
+        let (rec, _obs) = tiny();
         rec.set_enabled(true);
         {
             let _outer = rec.span(SpanName::TxnCommit);
@@ -452,23 +478,26 @@ mod tests {
 
     #[test]
     fn window_is_bounded_and_drops_are_counted() {
-        let rec = tiny(); // 2 shards x 8 slots
+        let (rec, obs) = tiny(); // 2 shards x 8 slots
         rec.set_enabled(true);
         for i in 0..100u64 {
             rec.instant(SpanName::ChaosCrash, i, 0);
+            let _g = rec.span(SpanName::WalAppend).txn(i);
         }
-        // This thread maps to one shard: 100 claims, 8 retained.
-        assert_eq!(rec.total_recorded(), 100);
-        assert_eq!(rec.dropped(), 92);
+        // This thread maps to one shard: 200 claims, 8 retained.
+        assert_eq!(rec.total_recorded(), 200);
+        assert_eq!(rec.dropped(), 192);
         let events = rec.capture();
         assert_eq!(events.len(), 8);
         // The window holds the *latest* events.
-        assert!(events.iter().all(|e| e.txn >= 92));
+        assert!(events.iter().all(|e| e.txn >= 96));
+        // The histogram kept every span the ring dropped.
+        assert_eq!(span_count(&obs, "span.wal.append"), 100);
     }
 
     #[test]
     fn slow_ring_captures_above_threshold() {
-        let rec = tiny();
+        let (rec, _obs) = tiny();
         rec.set_enabled(true);
         rec.set_slow_threshold_ns(1); // everything with nonzero duration
         {
@@ -483,7 +512,7 @@ mod tests {
 
     #[test]
     fn clear_resets_window_and_accounting() {
-        let rec = tiny();
+        let (rec, _obs) = tiny();
         rec.set_enabled(true);
         rec.instant(SpanName::ChaosCrash, 0, 0);
         rec.clear();

@@ -169,7 +169,7 @@ impl MetricsSnapshot {
     ///
     /// ```json
     /// {
-    ///   "core.engine.update": {"type": "histogram", "count": 2, "sum": 840,
+    ///   "span.engine.update": {"type": "histogram", "count": 2, "sum": 840,
     ///                          "max": 512, "p50": 328, "p95": 512, "p99": 512},
     ///   "storage.wal.forces": {"type": "counter", "value": 5},
     ///   "txn.manager.active": {"type": "gauge", "value": 0}
@@ -213,14 +213,14 @@ impl MetricsSnapshot {
     /// with the observed maximum as an extra `_max` series:
     ///
     /// ```text
-    /// # HELP core_engine_update SIAS metric core.engine.update
-    /// # TYPE core_engine_update histogram
-    /// core_engine_update_bucket{le="511"} 1
-    /// core_engine_update_bucket{le="1023"} 2
-    /// core_engine_update_bucket{le="+Inf"} 2
-    /// core_engine_update_sum 840
-    /// core_engine_update_count 2
-    /// core_engine_update_max 512
+    /// # HELP span_engine_update SIAS metric span.engine.update
+    /// # TYPE span_engine_update histogram
+    /// span_engine_update_bucket{le="511"} 1
+    /// span_engine_update_bucket{le="1023"} 2
+    /// span_engine_update_bucket{le="+Inf"} 2
+    /// span_engine_update_sum 840
+    /// span_engine_update_count 2
+    /// span_engine_update_max 512
     /// ```
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -316,7 +316,7 @@ mod tests {
             MetricSample { name: "txn.manager.active".into(), value: SampleValue::Gauge(3) },
             MetricSample { name: "storage.wal.forces".into(), value: SampleValue::Counter(5) },
             MetricSample {
-                name: "core.engine.update".into(),
+                name: "span.engine.update".into(),
                 value: SampleValue::Histogram(hist.sample()),
             },
         ])
@@ -327,13 +327,13 @@ mod tests {
         let s = sample_snapshot();
         assert_eq!(s.counter("storage.wal.forces"), Some(5));
         assert_eq!(s.gauge("txn.manager.active"), Some(3));
-        assert_eq!(s.histogram("core.engine.update").unwrap().count, 2);
+        assert_eq!(s.histogram("span.engine.update").unwrap().count, 2);
         assert_eq!(s.counter("txn.manager.active"), None);
         assert_eq!(s.get("no.such.metric"), None);
         // Sorted by name.
         assert_eq!(
             s.names(),
-            vec!["core.engine.update", "storage.wal.forces", "txn.manager.active"]
+            vec!["span.engine.update", "storage.wal.forces", "txn.manager.active"]
         );
     }
 
@@ -352,14 +352,14 @@ mod tests {
         assert!(p.contains("# HELP storage_wal_forces SIAS metric storage.wal.forces\n"));
         assert!(p.contains("# TYPE storage_wal_forces counter\nstorage_wal_forces 5\n"));
         assert!(p.contains("# TYPE txn_manager_active gauge\ntxn_manager_active 3\n"));
-        assert!(p.contains("# TYPE core_engine_update histogram\n"));
+        assert!(p.contains("# TYPE span_engine_update histogram\n"));
         // 328 -> bucket [256,512) le=511; 512 -> bucket [512,1024) le=1023.
-        assert!(p.contains("core_engine_update_bucket{le=\"511\"} 1\n"));
-        assert!(p.contains("core_engine_update_bucket{le=\"1023\"} 2\n"));
-        assert!(p.contains("core_engine_update_bucket{le=\"+Inf\"} 2\n"));
-        assert!(p.contains("core_engine_update_sum 840\n"));
-        assert!(p.contains("core_engine_update_count 2\n"));
-        assert!(p.contains("core_engine_update_max 512\n"));
+        assert!(p.contains("span_engine_update_bucket{le=\"511\"} 1\n"));
+        assert!(p.contains("span_engine_update_bucket{le=\"1023\"} 2\n"));
+        assert!(p.contains("span_engine_update_bucket{le=\"+Inf\"} 2\n"));
+        assert!(p.contains("span_engine_update_sum 840\n"));
+        assert!(p.contains("span_engine_update_count 2\n"));
+        assert!(p.contains("span_engine_update_max 512\n"));
         // No stale summary-style quantile labels.
         assert!(!p.contains("quantile="));
     }

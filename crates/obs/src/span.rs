@@ -1,5 +1,5 @@
 //! Trace event model: interned span names, fixed-size events, and the
-//! RAII guard that records a completed span on drop.
+//! RAII guard that times a span and records it on drop.
 //!
 //! Events are fixed-size (six `u64` words in the ring, one struct here)
 //! so recording never allocates. Span names are a closed enum rather
@@ -7,7 +7,7 @@
 //! *same* names for the same logical operations (as with metrics), and
 //! an interned `u16` keeps the hot path free of pointer chasing.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::recorder::FlightRecorder;
 
@@ -109,6 +109,16 @@ impl SpanName {
         }
     }
 
+    /// The registry histogram every span of this name records its
+    /// duration (ns) into: `span.<as_str>`. `None` for the three point
+    /// events, which have no duration.
+    pub fn histogram_name(self) -> Option<String> {
+        match self {
+            SpanName::ChaosCrash | SpanName::AnomalyFlag | SpanName::AdmissionShed => None,
+            _ => Some(format!("span.{}", self.as_str())),
+        }
+    }
+
     /// Decodes the ring encoding; `None` for out-of-range values (a
     /// corrupt or future-format slot).
     pub fn from_u16(v: u16) -> Option<SpanName> {
@@ -178,27 +188,21 @@ pub struct TraceEvent {
     pub arg: u64,
 }
 
-/// RAII span: created by [`FlightRecorder::span`], records one
-/// [`EventKind::Span`] event when dropped. When tracing is disabled the
-/// guard is inert — construction cost is one relaxed atomic load.
+/// RAII span: created by [`FlightRecorder::span`]. It always takes its
+/// start instant and, when dropped, records its duration into the
+/// `span.<name>` histogram; it also writes one [`EventKind::Span`]
+/// event to the ring if tracing was enabled when it opened.
 pub struct SpanGuard<'r> {
-    rec: Option<&'r FlightRecorder>,
-    name: SpanName,
-    start: Option<Instant>,
-    txn: u64,
-    arg: u64,
-    depth: u8,
+    pub(crate) rec: &'r FlightRecorder,
+    pub(crate) name: SpanName,
+    pub(crate) start: Instant,
+    pub(crate) txn: u64,
+    pub(crate) arg: u64,
+    /// Nesting depth at open; `None` when the ring was off at open.
+    pub(crate) depth: Option<u8>,
 }
 
-impl<'r> SpanGuard<'r> {
-    pub(crate) fn live(rec: &'r FlightRecorder, name: SpanName, depth: u8) -> Self {
-        SpanGuard { rec: Some(rec), name, start: Some(Instant::now()), txn: 0, arg: 0, depth }
-    }
-
-    pub(crate) fn inert(name: SpanName) -> Self {
-        SpanGuard { rec: None, name, start: None, txn: 0, arg: 0, depth: 0 }
-    }
-
+impl SpanGuard<'_> {
     /// Tags the span with a transaction id.
     #[inline]
     pub fn txn(mut self, xid: u64) -> Self {
@@ -227,22 +231,16 @@ impl<'r> SpanGuard<'r> {
         self.txn = xid;
     }
 
-    /// Whether this guard will record (tracing was enabled at open).
-    pub fn is_recording(&self) -> bool {
-        self.rec.is_some()
-    }
-
-    /// The span's name (mostly for tests).
-    pub fn name(&self) -> SpanName {
-        self.name
+    /// Time since the span opened (for code bounded by its own span,
+    /// e.g. the admission gate's delay budget).
+    pub fn elapsed(&self) -> Duration {
+        self.start.elapsed()
     }
 }
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let (Some(rec), Some(start)) = (self.rec, self.start) {
-            rec.close_span(self.name, self.depth, start, self.txn, self.arg);
-        }
+        self.rec.close_span(self);
     }
 }
 

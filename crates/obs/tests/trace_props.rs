@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sias_obs::export::{to_chrome_trace, to_jsonl};
-use sias_obs::{EventKind, FlightRecorder, SpanName, TraceConfig, TraceEvent};
+use sias_obs::{EventKind, FlightRecorder, Registry, SpanName, TraceConfig, TraceEvent};
 
 /// All recording threads use a small rotation of names so decode
 /// round-trips are exercised across the enum.
@@ -29,12 +29,8 @@ proptest! {
         capacity in 2usize..32,
         per_thread in 1u64..200,
     ) {
-        let rec = Arc::new(FlightRecorder::new(TraceConfig {
-            shards,
-            capacity,
-            slow_capacity: 8,
-            slow_threshold_ns: 0,
-        }));
+        let cfg = TraceConfig { shards, capacity, slow_capacity: 8, slow_threshold_ns: 0 };
+        let rec = Arc::new(FlightRecorder::new(cfg, &Registry::new()));
         rec.set_enabled(true);
         std::thread::scope(|s| {
             for t in 0..8u64 {
@@ -73,7 +69,7 @@ proptest! {
     /// spans once every guard has dropped.
     #[test]
     fn span_balance_always_closes(depths in proptest::collection::vec(1usize..6, 1..8)) {
-        let rec = Arc::new(FlightRecorder::new(TraceConfig::default()));
+        let rec = Arc::new(FlightRecorder::new(TraceConfig::default(), &Registry::new()));
         rec.set_enabled(true);
         std::thread::scope(|s| {
             for depth in depths.clone() {
@@ -142,7 +138,7 @@ fn chrome_trace_golden() {
 /// ring memory, no matter how many spans and instants fly at it.
 #[test]
 fn disabled_tracing_records_zero_events() {
-    let rec = FlightRecorder::new(TraceConfig::default());
+    let rec = FlightRecorder::new(TraceConfig::default(), &Registry::new());
     std::thread::scope(|s| {
         for t in 0..4u64 {
             let rec = &rec;

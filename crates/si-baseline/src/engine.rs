@@ -25,7 +25,7 @@ use bytes::Bytes;
 use parking_lot::RwLock;
 use sias_common::{RelId, SiasError, SiasResult, Tid, Vid, Xid};
 use sias_index::BPlusTree;
-use sias_obs::{time, Registry, SpanName};
+use sias_obs::{Registry, SpanName};
 use sias_storage::{FreeSpaceMap, StorageConfig, StorageStack, WalRecord};
 use sias_txn::{EngineMetrics, MvccEngine, Snapshot, TransactionManager, Txn, TxnStatus};
 
@@ -213,127 +213,6 @@ impl SiDb {
         })
     }
 
-    // The op bodies live in `*_inner` methods so the `time!` wrappers in
-    // the trait impl always record: early `return`s here would otherwise
-    // skip the latency measurement.
-
-    fn insert_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        if self.visible_by_key(txn, &r, key)?.is_some() {
-            return Err(SiasError::Index(format!("duplicate key {key}")));
-        }
-        let row = r.next_row.fetch_add(1, Ordering::Relaxed);
-        self.txm.locks.try_lock(rel, Vid(row), txn.xid);
-        let t = HeapTuple::new(txn.xid, row, key, Bytes::copy_from_slice(payload));
-        let image = t.encode();
-        let tid = self.place_tuple(rel, &image)?;
-        self.stack.wal.append(&WalRecord::Insert {
-            xid: txn.xid,
-            rel,
-            tid,
-            vid: Vid(row),
-            payload: image,
-        });
-        self.stack.wal.append(&WalRecord::IndexInsert {
-            xid: txn.xid,
-            rel,
-            key,
-            value: tid.pack(),
-        });
-        r.index.insert(key, tid.pack())?;
-        // The SSI write hook runs once a reader's walk can reach the
-        // version: after the index insert (and, for updates and deletes,
-        // the in-place invalidation).
-        self.txm.ssi_write(txn, rel, key)
-    }
-
-    fn update_inner(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
-        // First-updater-wins via the row lock, as in PostgreSQL.
-        self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
-        // Re-validate under the lock: a concurrent winner may have
-        // committed a newer version.
-        let current = self.fetch_tuple(rel, tid)?;
-        if current.xmax.is_valid()
-            && self.txm.clog.status(current.xmax) != TxnStatus::Aborted
-            && current.xmax != txn.xid
-        {
-            self.metrics.write_conflicts.inc();
-            return Err(SiasError::WriteConflict { vid: Vid(old.row), winner: current.xmax });
-        }
-        // (1) In-place invalidation of the old version.
-        self.invalidate_in_place(rel, tid, txn.xid)?;
-        // (2) New version on an arbitrary page with space.
-        let newt = HeapTuple::new(txn.xid, old.row, key, Bytes::copy_from_slice(payload));
-        let image = newt.encode();
-        let new_tid = self.place_tuple(rel, &image)?;
-        self.stack.wal.append(&WalRecord::Insert {
-            xid: txn.xid,
-            rel,
-            tid: new_tid,
-            vid: Vid(old.row),
-            payload: image,
-        });
-        // (3) A fresh index record for the new version — even though the
-        // key did not change.
-        self.stack.wal.append(&WalRecord::IndexInsert {
-            xid: txn.xid,
-            rel,
-            key,
-            value: new_tid.pack(),
-        });
-        r.index.insert(key, new_tid.pack())?;
-        self.txm.ssi_write(txn, rel, key)
-    }
-
-    fn delete_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
-        let r = self.relation_handle(rel)?;
-        let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
-        self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
-        let current = self.fetch_tuple(rel, tid)?;
-        if current.xmax.is_valid()
-            && self.txm.clog.status(current.xmax) != TxnStatus::Aborted
-            && current.xmax != txn.xid
-        {
-            self.metrics.write_conflicts.inc();
-            return Err(SiasError::WriteConflict { vid: Vid(old.row), winner: current.xmax });
-        }
-        self.invalidate_in_place(rel, tid, txn.xid)?;
-        self.txm.ssi_write(txn, rel, key)
-    }
-
-    fn get_inner(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<Option<Bytes>> {
-        let r = self.relation_handle(rel)?;
-        self.ssi_read(txn, rel, key)?;
-        Ok(self.visible_by_key(txn, &r, key)?.map(|(_, t)| t.payload))
-    }
-
-    fn scan_range_inner(
-        &self,
-        txn: &Txn,
-        rel: RelId,
-        lo: u64,
-        hi: u64,
-    ) -> SiasResult<Vec<(u64, Bytes)>> {
-        let r = self.relation_handle(rel)?;
-        let mut out: Vec<(u64, Bytes)> = Vec::new();
-        for (key, packed) in r.index.range(lo, hi)? {
-            // Several index records may exist per key (one per version):
-            // keep the visible one, once.
-            if out.last().map(|(k, _)| *k) == Some(key) {
-                continue;
-            }
-            let Some(tid) = Tid::unpack(packed) else { continue };
-            let t = self.fetch_tuple(rel, tid)?;
-            if t.key == key && self.tuple_visible(&txn.snapshot, &t) {
-                self.ssi_read(txn, rel, key)?;
-                out.push((key, t.payload));
-            }
-        }
-        Ok(out)
-    }
-
     /// Full-relation scan applying SI visibility — the only scan SI has.
     pub fn scan_heap(&self, txn: &Txn, rel: RelId) -> SiasResult<Vec<(u64, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanAll).txn(txn.xid.0);
@@ -428,27 +307,118 @@ impl MvccEngine for SiDb {
 
     fn insert(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineInsert).txn(txn.xid.0);
-        time!(self.metrics.insert, self.insert_inner(txn, rel, key, payload))
+        let r = self.relation_handle(rel)?;
+        if self.visible_by_key(txn, &r, key)?.is_some() {
+            return Err(SiasError::Index(format!("duplicate key {key}")));
+        }
+        let row = r.next_row.fetch_add(1, Ordering::Relaxed);
+        self.txm.locks.try_lock(rel, Vid(row), txn.xid);
+        let t = HeapTuple::new(txn.xid, row, key, Bytes::copy_from_slice(payload));
+        let image = t.encode();
+        let tid = self.place_tuple(rel, &image)?;
+        self.stack.wal.append(&WalRecord::Insert {
+            xid: txn.xid,
+            rel,
+            tid,
+            vid: Vid(row),
+            payload: image,
+        });
+        self.stack.wal.append(&WalRecord::IndexInsert {
+            xid: txn.xid,
+            rel,
+            key,
+            value: tid.pack(),
+        });
+        r.index.insert(key, tid.pack())?;
+        // The SSI write hook runs once a reader's walk can reach the
+        // version: after the index insert (and, for updates and deletes,
+        // the in-place invalidation).
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn update(&self, txn: &Txn, rel: RelId, key: u64, payload: &[u8]) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineUpdate).txn(txn.xid.0);
-        time!(self.metrics.update, self.update_inner(txn, rel, key, payload))
+        let r = self.relation_handle(rel)?;
+        let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
+        // First-updater-wins via the row lock, as in PostgreSQL.
+        self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
+        // Re-validate under the lock: a concurrent winner may have
+        // committed a newer version.
+        let current = self.fetch_tuple(rel, tid)?;
+        if current.xmax.is_valid()
+            && self.txm.clog.status(current.xmax) != TxnStatus::Aborted
+            && current.xmax != txn.xid
+        {
+            self.metrics.write_conflicts.inc();
+            return Err(SiasError::WriteConflict { vid: Vid(old.row), winner: current.xmax });
+        }
+        // (1) In-place invalidation of the old version.
+        self.invalidate_in_place(rel, tid, txn.xid)?;
+        // (2) New version on an arbitrary page with space.
+        let newt = HeapTuple::new(txn.xid, old.row, key, Bytes::copy_from_slice(payload));
+        let image = newt.encode();
+        let new_tid = self.place_tuple(rel, &image)?;
+        self.stack.wal.append(&WalRecord::Insert {
+            xid: txn.xid,
+            rel,
+            tid: new_tid,
+            vid: Vid(old.row),
+            payload: image,
+        });
+        // (3) A fresh index record for the new version — even though the
+        // key did not change.
+        self.stack.wal.append(&WalRecord::IndexInsert {
+            xid: txn.xid,
+            rel,
+            key,
+            value: new_tid.pack(),
+        });
+        r.index.insert(key, new_tid.pack())?;
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn delete(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<()> {
         let _span = self.metrics.tracer.span(SpanName::EngineDelete).txn(txn.xid.0);
-        time!(self.metrics.delete, self.delete_inner(txn, rel, key))
+        let r = self.relation_handle(rel)?;
+        let (tid, old) = self.visible_by_key(txn, &r, key)?.ok_or(SiasError::KeyNotFound(key))?;
+        self.txm.locks.lock(rel, Vid(old.row), txn.xid)?;
+        let current = self.fetch_tuple(rel, tid)?;
+        if current.xmax.is_valid()
+            && self.txm.clog.status(current.xmax) != TxnStatus::Aborted
+            && current.xmax != txn.xid
+        {
+            self.metrics.write_conflicts.inc();
+            return Err(SiasError::WriteConflict { vid: Vid(old.row), winner: current.xmax });
+        }
+        self.invalidate_in_place(rel, tid, txn.xid)?;
+        self.txm.ssi_write(txn, rel, key)
     }
 
     fn get(&self, txn: &Txn, rel: RelId, key: u64) -> SiasResult<Option<Bytes>> {
         let _span = self.metrics.tracer.span(SpanName::EngineGet).txn(txn.xid.0);
-        time!(self.metrics.get, self.get_inner(txn, rel, key))
+        let r = self.relation_handle(rel)?;
+        self.ssi_read(txn, rel, key)?;
+        Ok(self.visible_by_key(txn, &r, key)?.map(|(_, t)| t.payload))
     }
 
     fn scan_range(&self, txn: &Txn, rel: RelId, lo: u64, hi: u64) -> SiasResult<Vec<(u64, Bytes)>> {
         let _span = self.metrics.tracer.span(SpanName::EngineScanRange).txn(txn.xid.0);
-        time!(self.metrics.scan, self.scan_range_inner(txn, rel, lo, hi))
+        let r = self.relation_handle(rel)?;
+        let mut out: Vec<(u64, Bytes)> = Vec::new();
+        for (key, packed) in r.index.range(lo, hi)? {
+            // Several index records may exist per key (one per version):
+            // keep the visible one, once.
+            if out.last().map(|(k, _)| *k) == Some(key) {
+                continue;
+            }
+            let Some(tid) = Tid::unpack(packed) else { continue };
+            let t = self.fetch_tuple(rel, tid)?;
+            if t.key == key && self.tuple_visible(&txn.snapshot, &t) {
+                self.ssi_read(txn, rel, key)?;
+                out.push((key, t.payload));
+            }
+        }
+        Ok(out)
     }
 
     fn maintenance(&self, checkpoint: bool) {
@@ -734,6 +704,19 @@ mod tests {
         assert_eq!(si_names, sias_names);
         assert!(si_names.iter().any(|n| n == "core.engine.chain_depth"));
         assert!(si_names.iter().any(|n| n == "txn.manager.aborts_write_conflict"));
+        assert_has_every_span_histogram(&si_names);
+    }
+
+    /// Every duration span name has its `span.*` histogram, the three
+    /// instants none.
+    fn assert_has_every_span_histogram(names: &[String]) {
+        let spans: Vec<&String> = names.iter().filter(|n| n.starts_with("span.")).collect();
+        assert_eq!(spans.len(), 25, "{spans:?}");
+        for v in 0..sias_obs::SPAN_NAME_COUNT {
+            if let Some(name) = sias_obs::SpanName::from_u16(v).unwrap().histogram_name() {
+                assert!(spans.contains(&&name), "missing {name}");
+            }
+        }
     }
 
     #[test]
@@ -761,7 +744,10 @@ mod tests {
         assert_eq!(sias.scan(&t, rel, 4).unwrap().len(), 64);
         sias.commit(t).unwrap();
         let si = SiDb::open(StorageConfig::in_memory());
-        assert_eq!(sias.metrics_snapshot().names(), si.metrics_snapshot().names());
+        let names: Vec<String> =
+            sias.metrics_snapshot().names().iter().map(|s| s.to_string()).collect();
+        assert_eq!(names, si.metrics_snapshot().names());
+        assert_has_every_span_histogram(&names);
     }
 
     #[test]
@@ -779,8 +765,8 @@ mod tests {
         db.commit(reader).unwrap();
         let after = db.metrics_snapshot();
         let count = |s: &sias_obs::MetricsSnapshot, n: &str| s.histogram(n).unwrap().count;
-        assert_eq!(count(&after, "core.engine.update"), count(&before, "core.engine.update") + 1);
-        assert_eq!(count(&after, "core.engine.get"), count(&before, "core.engine.get") + 1);
+        assert_eq!(count(&after, "span.engine.update"), count(&before, "span.engine.update") + 1);
+        assert_eq!(count(&after, "span.engine.get"), count(&before, "span.engine.get") + 1);
         // Two index records for key 1 now exist; the reader's probe walked
         // at least one dead/old version check, so depth reached >= 1 and
         // the visible-by-key walk is recorded.

@@ -229,12 +229,6 @@ impl BufferPool {
         self
     }
 
-    /// Charges retry backoff to the virtual `clock` (builder style;
-    /// simulated devices).
-    pub fn with_clock(self, clock: Arc<sias_common::VirtualClock>) -> Self {
-        self.with_retry_clock(RetryClock::Virtual(clock))
-    }
-
     /// Selects the retry backoff clock source explicitly (builder
     /// style): virtual for simulated devices, wall for real files.
     pub fn with_retry_clock(mut self, clock: RetryClock) -> Self {

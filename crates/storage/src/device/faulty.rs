@@ -21,7 +21,9 @@
 //!   image is flipped (transient read disturb: a retried read re-rolls).
 //!
 //! Every injection increments the `storage.faults.*` counters in the
-//! registry the device was built with.
+//! registry the device was built with. Whatever a fault makes of a host
+//! write, the wrapped device sees exactly one page write (and no read),
+//! so its `storage.device.*` counters count what the host issued.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -322,29 +324,41 @@ impl FaultyDevice {
         }
     }
 
-    fn do_write(&self, lba: u64, data: &[u8], sync: bool) {
+    /// How many leading sectors of this write reach the media: none
+    /// when frozen or dropped, 1..=15 when torn, all of them otherwise.
+    fn persisted_sectors(&self, lba: u64) -> usize {
+        const ALL: usize = PAGE_SIZE / SECTOR_SIZE;
         if self.frozen.load(Ordering::SeqCst) {
-            return;
+            return 0;
         }
         let roll = self.roll(5, lba);
         if Self::fires(roll, self.cfg.dropped_write_ppm) {
             self.counters.injected.inc();
             self.counters.dropped_writes.inc();
-            return;
+            return 0;
         }
         if Self::fires(roll.rotate_right(20), self.cfg.torn_write_ppm) {
             self.counters.injected.inc();
             self.counters.torn_writes.inc();
-            // Persist only the first 1..=15 sectors; the page tail keeps
-            // whatever the media held before the interrupted program.
-            let sectors = 1 + ((roll >> 40) as usize % (PAGE_SIZE / SECTOR_SIZE - 1));
-            let mut torn = vec![0u8; PAGE_SIZE];
-            self.inner.read_page(lba, &mut torn);
-            torn[..sectors * SECTOR_SIZE].copy_from_slice(&data[..sectors * SECTOR_SIZE]);
-            self.inner.write_page(lba, &torn, sync);
+            return 1 + (roll >> 40) as usize % (ALL - 1);
+        }
+        ALL
+    }
+
+    /// A faulted write still reaches the wrapped device as one write, of
+    /// the stored image with the persisted sector prefix of `data` over
+    /// it: the tail keeps whatever the media held before the interrupted
+    /// program, and a dropped write rewrites the old image unchanged.
+    fn do_write(&self, lba: u64, data: &[u8], sync: bool) {
+        let persisted = self.persisted_sectors(lba) * SECTOR_SIZE;
+        if persisted == PAGE_SIZE {
+            self.inner.write_page(lba, data, sync);
             return;
         }
-        self.inner.write_page(lba, data, sync);
+        let mut image = vec![0u8; PAGE_SIZE];
+        self.inner.peek_page(lba, &mut image);
+        image[..persisted].copy_from_slice(&data[..persisted]);
+        self.inner.write_page(lba, &image, sync);
     }
 }
 
@@ -355,6 +369,10 @@ impl Device for FaultyDevice {
 
     fn write_page(&self, lba: u64, data: &[u8], sync: bool) {
         self.do_write(lba, data, sync);
+    }
+
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
+        self.inner.peek_page(lba, buf);
     }
 
     fn try_read_page(&self, lba: u64, buf: &mut [u8]) -> SiasResult<()> {
@@ -450,6 +468,12 @@ mod tests {
         d.inner().write_page(3, &old, true); // pristine pre-image
         let new = vec![0x55u8; PAGE_SIZE];
         d.write_page(3, &new, true);
+        let s = d.stats();
+        assert_eq!(
+            (s.host_write_pages, s.host_read_pages),
+            (2, 0),
+            "pre-image and torn write only"
+        );
         let mut buf = vec![0u8; PAGE_SIZE];
         d.inner().read_page(3, &mut buf);
         let torn_at = buf.iter().position(|&b| b == 0xAA).expect("old tail must survive");
@@ -466,6 +490,8 @@ mod tests {
         let old = vec![1u8; PAGE_SIZE];
         d.inner().write_page(0, &old, true);
         d.write_page(0, &vec![2u8; PAGE_SIZE], true);
+        let s = d.stats();
+        assert_eq!((s.host_write_pages, s.host_read_pages), (2, 0), "the host issued two writes");
         let mut buf = vec![0u8; PAGE_SIZE];
         d.read_page(0, &mut buf);
         assert_eq!(buf, old);
@@ -523,6 +549,7 @@ mod tests {
         d.write_page(0, &page, true);
         d.freeze();
         d.write_page(0, &vec![8u8; PAGE_SIZE], true);
+        assert_eq!(d.stats().host_write_pages, 2, "a post-freeze write is still a host write");
         let mut buf = vec![0u8; PAGE_SIZE];
         d.read_page(0, &mut buf);
         assert_eq!(buf, page, "post-freeze writes must not reach the media");

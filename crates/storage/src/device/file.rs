@@ -126,6 +126,17 @@ impl FileDevice {
         self.direct
     }
 
+    /// Reads page `lba` through an aligned bounce buffer.
+    fn read_image(&self, lba: u64, buf: &mut [u8]) -> SiasResult<()> {
+        assert_eq!(buf.len(), PAGE_SIZE);
+        let mut bounce = AlignedPage::zeroed();
+        self.read_exact_at(&mut bounce.0, lba * PAGE_SIZE as u64).map_err(|e| {
+            SiasError::Device(format!("read {} lba {lba}: {e}", self.path.display()))
+        })?;
+        buf.copy_from_slice(&bounce.0);
+        Ok(())
+    }
+
     fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
         let mut done = 0usize;
         while done < buf.len() {
@@ -172,9 +183,12 @@ impl Device for FileDevice {
         self.try_write_page(lba, data, sync).expect("file write");
     }
 
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
+        self.read_image(lba, buf).expect("file read");
+    }
+
     fn try_read_page(&self, lba: u64, buf: &mut [u8]) -> SiasResult<()> {
         assert!(lba < self.capacity_pages, "read past device capacity");
-        assert_eq!(buf.len(), PAGE_SIZE);
         self.env.counters.host_read_pages.inc();
         self.env.trace.record(TraceEvent {
             time_us: self.env.clock.now_us(),
@@ -183,13 +197,7 @@ impl Device for FileDevice {
             pages: 1,
             dir: IoDir::Read,
         });
-        let offset = lba * PAGE_SIZE as u64;
-        let mut bounce = AlignedPage::zeroed();
-        self.read_exact_at(&mut bounce.0, offset).map_err(|e| {
-            SiasError::Device(format!("read {} lba {lba}: {e}", self.path.display()))
-        })?;
-        buf.copy_from_slice(&bounce.0);
-        Ok(())
+        self.read_image(lba, buf)
     }
 
     fn try_write_page(&self, lba: u64, data: &[u8], sync: bool) -> SiasResult<()> {

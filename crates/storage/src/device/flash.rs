@@ -217,8 +217,11 @@ impl Device for FlashDevice {
             }
         };
         self.charge(phys, self.cfg.read_us, true);
-        let data = self.data.lock();
-        match &data[lba as usize] {
+        self.peek_page(lba, buf);
+    }
+
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
+        match &self.data.lock()[lba as usize] {
             Some(img) => buf.copy_from_slice(img),
             None => buf.fill(0),
         }

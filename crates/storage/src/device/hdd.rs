@@ -105,6 +105,10 @@ impl Device for HddDevice {
             dir: IoDir::Read,
         });
         self.access(lba, true);
+        self.peek_page(lba, buf);
+    }
+
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
         match self.data.lock().get(&lba) {
             Some(img) => buf.copy_from_slice(img),
             None => buf.fill(0),

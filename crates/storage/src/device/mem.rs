@@ -48,6 +48,10 @@ impl Device for MemDevice {
             pages: 1,
             dir: IoDir::Read,
         });
+        self.peek_page(lba, buf);
+    }
+
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
         match self.data.lock().get(&lba) {
             Some(img) => buf.copy_from_slice(img),
             None => buf.fill(0),

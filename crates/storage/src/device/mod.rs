@@ -62,6 +62,11 @@ pub trait Device: Send + Sync {
     /// otherwise the write only occupies device time in the background.
     fn write_page(&self, lba: u64, data: &[u8], sync: bool);
 
+    /// Copies the stored image of one page into `buf` without charging
+    /// time, counting a host read or tracing it: [`FaultyDevice`]
+    /// builds what a torn or dropped write leaves on the media from it.
+    fn peek_page(&self, lba: u64, buf: &mut [u8]);
+
     /// Fallible read. The hardware models never fail (they panic on
     /// contract violations instead), so the default delegates to
     /// [`Device::read_page`]; [`FaultyDevice`] overrides this to inject

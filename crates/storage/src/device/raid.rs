@@ -66,6 +66,11 @@ impl Device for Raid0 {
         self.members[m].write_page(mlba, data, sync);
     }
 
+    fn peek_page(&self, lba: u64, buf: &mut [u8]) {
+        let (m, mlba) = self.route(lba);
+        self.members[m].peek_page(mlba, buf);
+    }
+
     fn capacity_pages(&self) -> u64 {
         let n = self.members.len() as u64;
         self.members.iter().map(|m| m.capacity_pages()).min().unwrap_or(0) * n

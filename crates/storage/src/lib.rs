@@ -46,9 +46,7 @@ pub use fsm::FreeSpaceMap;
 pub use health::{Health, HealthConfig, HealthState};
 pub use io_queue::{IoCompletion, IoOp, IoQueue};
 pub use page::Page;
-pub use stack::{
-    Media, SpaceConfig, SpaceStatus, StorageConfig, StorageStack, DEFAULT_MAINT_PAGES_PER_SEC,
-};
+pub use stack::{Media, SpaceConfig, SpaceStatus, StorageConfig, StorageStack};
 pub use tablespace::Tablespace;
 pub use trace::{IoDir, TraceCollector, TraceEvent, DEFAULT_TRACE_CAPACITY};
 pub use wal::{Wal, WalConfig, WalRecord, WalStats};

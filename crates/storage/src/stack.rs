@@ -87,9 +87,7 @@ impl Media {
 /// capacity check in `lead_force` remains the backstop underneath.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpaceConfig {
-    /// Physical size of the log device, in pages.
-    pub wal_device_pages: u64,
-    /// Quota on live WAL bytes, in pages. `0` = the whole device.
+    /// Quota on live WAL bytes, in pages. `0` = the whole log device.
     pub wal_quota_pages: u64,
     /// Percent of quota at which the stack goes Degraded (emergency
     /// reclaim starts).
@@ -98,22 +96,19 @@ pub struct SpaceConfig {
     pub hard_watermark_pct: u64,
 }
 
+/// Physical size of every stack's log device, in pages (32 GiB).
+const WAL_DEVICE_PAGES: u64 = 1 << 22;
+
 impl Default for SpaceConfig {
     fn default() -> Self {
-        SpaceConfig {
-            wal_device_pages: 1 << 22,
-            wal_quota_pages: 0,
-            low_watermark_pct: 70,
-            hard_watermark_pct: 90,
-        }
+        SpaceConfig { wal_quota_pages: 0, low_watermark_pct: 70, hard_watermark_pct: 90 }
     }
 }
 
 impl SpaceConfig {
     /// The quota in bytes (defaulting to the whole device).
     pub fn quota_bytes(&self) -> u64 {
-        let pages =
-            if self.wal_quota_pages == 0 { self.wal_device_pages } else { self.wal_quota_pages };
+        let pages = if self.wal_quota_pages == 0 { WAL_DEVICE_PAGES } else { self.wal_quota_pages };
         pages * PAGE_SIZE as u64
     }
 }
@@ -150,19 +145,9 @@ pub struct StorageConfig {
     /// queue; all I/O is synchronous). Matches per-device NCQ semantics:
     /// a 2-wide stripe at depth 8 keeps up to 16 operations in flight.
     pub io_queue_depth: usize,
-    /// Token-bucket refill rate for the background maintenance
-    /// scheduler, in pages (GC victims examined + scrub probes +
-    /// checkpoint flushes) per second of wall-clock time. `0` runs
-    /// maintenance unthrottled. Foreground transactions are never
-    /// throttled by this knob.
-    pub maint_pages_per_sec: u64,
-    /// Log-device size, live-byte quota and ENOSPC watermarks.
+    /// Live-WAL-byte quota and ENOSPC watermarks.
     pub space: SpaceConfig,
 }
-
-/// Default maintenance throttle: generous enough to keep up with an
-/// 8-thread update-heavy driver, small enough that slices stay short.
-pub const DEFAULT_MAINT_PAGES_PER_SEC: u64 = 4096;
 
 impl StorageConfig {
     /// Zero-latency in-memory stack (unit tests, doctests).
@@ -176,15 +161,8 @@ impl StorageConfig {
             wal: WalConfig::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 0,
-            maint_pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             space: SpaceConfig::default(),
         }
-    }
-
-    /// Alias of [`StorageConfig::in_memory`] kept for readability at call
-    /// sites that stress the SSD-like out-of-place semantics don't matter.
-    pub fn in_memory_ssd() -> Self {
-        Self::in_memory()
     }
 
     /// RAID-0 over `members` SLC-class SSDs.
@@ -198,7 +176,6 @@ impl StorageConfig {
             wal: WalConfig::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 0,
-            maint_pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             space: SpaceConfig::default(),
         }
     }
@@ -221,7 +198,6 @@ impl StorageConfig {
             wal: WalConfig::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 8,
-            maint_pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             space: SpaceConfig::default(),
         }
     }
@@ -240,7 +216,6 @@ impl StorageConfig {
             wal: WalConfig::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 8,
-            maint_pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             space: SpaceConfig::default(),
         }
     }
@@ -256,7 +231,6 @@ impl StorageConfig {
             wal: WalConfig::default(),
             trace_capacity: DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 0,
-            maint_pages_per_sec: DEFAULT_MAINT_PAGES_PER_SEC,
             space: SpaceConfig::default(),
         }
     }
@@ -300,19 +274,6 @@ impl StorageConfig {
     /// Overrides the per-member async I/O queue depth (0 = synchronous).
     pub fn with_io_queue_depth(mut self, depth: usize) -> Self {
         self.io_queue_depth = depth;
-        self
-    }
-
-    /// Overrides the maintenance-scheduler throttle (pages per second of
-    /// wall-clock time; 0 = unthrottled).
-    pub fn with_maint_pages_per_sec(mut self, pages: u64) -> Self {
-        self.maint_pages_per_sec = pages;
-        self
-    }
-
-    /// Overrides the physical log-device size (pages).
-    pub fn with_wal_device_pages(mut self, pages: u64) -> Self {
-        self.space.wal_device_pages = pages;
         self
     }
 
@@ -461,16 +422,16 @@ impl StorageStack {
         // `storage.wal.*`. File media put the log in a sibling file at
         // `<path>.wal`.
         let wal_env = DeviceEnv { clock: Arc::clone(&clock), ..DeviceEnv::fresh() };
-        let wal_pages = cfg.space.wal_device_pages;
         let wal_dev: Arc<dyn Device> = match &cfg.media {
-            Media::Mem => Arc::new(MemDevice::new(wal_pages, wal_env)),
+            Media::Mem => Arc::new(MemDevice::new(WAL_DEVICE_PAGES, wal_env)),
             Media::SsdRaid { flash, .. } => Arc::new(FlashDevice::new(
-                FlashConfig { capacity_pages: wal_pages, ..*flash },
+                FlashConfig { capacity_pages: WAL_DEVICE_PAGES, ..*flash },
                 wal_env,
             )),
-            Media::Hdd(h) => {
-                Arc::new(HddDevice::new(HddConfig { capacity_pages: wal_pages, ..*h }, wal_env))
-            }
+            Media::Hdd(h) => Arc::new(HddDevice::new(
+                HddConfig { capacity_pages: WAL_DEVICE_PAGES, ..*h },
+                wal_env,
+            )),
             Media::File { .. } | Media::Striped { .. } => {
                 let base = match &cfg.media {
                     Media::File { path } => path.clone(),
@@ -480,7 +441,7 @@ impl StorageStack {
                 let mut wal_path = base.into_os_string();
                 wal_path.push(".wal");
                 Arc::new(
-                    FileDevice::open(PathBuf::from(wal_path), wal_pages, wal_env)
+                    FileDevice::open(PathBuf::from(wal_path), WAL_DEVICE_PAGES, wal_env)
                         .expect("open wal file"),
                 )
             }

@@ -437,13 +437,6 @@ impl Wal {
         self
     }
 
-    /// Charges retry backoff to `clock` (builder style). Without a
-    /// clock, retries are immediate but still histogram-recorded.
-    pub fn with_clock(mut self, clock: Arc<sias_common::VirtualClock>) -> Self {
-        self.retry_ctx.clock = RetryClock::Virtual(clock);
-        self
-    }
-
     /// Selects the retry backoff clock source explicitly (builder
     /// style): virtual time for simulated devices, wall-clock sleeps for
     /// real files, or no waiting at all.

@@ -64,7 +64,6 @@ proptest! {
             wal: sias_storage::WalConfig::default(),
             trace_capacity: sias_storage::DEFAULT_TRACE_CAPACITY,
             io_queue_depth: 0,
-            maint_pages_per_sec: sias_storage::DEFAULT_MAINT_PAGES_PER_SEC,
             space: sias_storage::SpaceConfig::default(),
         };
         let stack = StorageStack::new(&cfg);

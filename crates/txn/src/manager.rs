@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 use sias_common::{RelId, SiasError, SiasResult, Xid};
-use sias_obs::{Counter, Gauge, Histogram, Registry};
+use sias_obs::{Counter, Gauge, Registry};
 
 use crate::clog::Clog;
 use crate::locks::LockTable;
@@ -75,7 +75,6 @@ pub struct TransactionManager {
     aborts: Arc<Counter>,
     aborts_serialization: Arc<Counter>,
     active_gauge: Arc<Gauge>,
-    begin_hist: Arc<Histogram>,
     /// `txn.snapshot.memo_*`: per-snapshot visibility-memo hit/miss
     /// totals, folded in when a transaction ends.
     memo_hits: Arc<Counter>,
@@ -111,7 +110,6 @@ impl TransactionManager {
             aborts: obs.counter("txn.manager.aborts"),
             aborts_serialization: obs.counter("txn.manager.aborts_serialization"),
             active_gauge: obs.gauge("txn.manager.active"),
-            begin_hist: obs.histogram("txn.manager.begin"),
             memo_hits: obs.counter("txn.snapshot.memo_hits"),
             memo_misses: obs.counter("txn.snapshot.memo_misses"),
         }
@@ -141,7 +139,6 @@ impl TransactionManager {
     /// waits, commit-force parks, batched scans) gives up with
     /// [`SiasError::DeadlineExceeded`] once it passes.
     pub fn begin_with_deadline(&self, deadline: Option<Instant>) -> Txn {
-        let start = Instant::now();
         let mut active = self.active.lock();
         let xid = Xid(self.next_xid.fetch_add(1, Ordering::Relaxed));
         let concurrent: Vec<Xid> = active.keys().copied().collect();
@@ -149,7 +146,6 @@ impl TransactionManager {
         active.insert(xid, xmin);
         drop(active);
         self.active_gauge.add(1);
-        self.begin_hist.record_duration(start.elapsed());
         Txn { xid, snapshot: Snapshot::new(xid, concurrent), deadline }
     }
 

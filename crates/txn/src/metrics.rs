@@ -6,14 +6,15 @@
 //! calls [`EngineMetrics::register`] against its storage stack's
 //! registry, getting back pre-resolved handles for the hot paths.
 //!
-//! Naming follows `<crate>.<component>.<name>`; the operation
-//! histograms record wall-clock nanoseconds, `chain_depth` records the
-//! number of versions traversed to find the visible one (for SI: index
-//! candidates probed), and the GC, scrub and checkpoint families count
-//! maintenance work, each outcome under exactly one name. Metrics that
-//! do not apply to one engine (e.g. GC under SI) simply stay zero — they
-//! are registered here, eagerly, so both snapshots have identical shape
-//! whatever either engine has run.
+//! Naming follows `<crate>.<component>.<name>`; `chain_depth` records
+//! the number of versions traversed to find the visible one (for SI:
+//! index candidates probed), and the GC, scrub and checkpoint families
+//! count maintenance work, each outcome under exactly one name. Metrics
+//! that do not apply to one engine (e.g. GC under SI) simply stay zero —
+//! they are registered here, eagerly, so both snapshots have identical
+//! shape whatever either engine has run. Latency is not here: every
+//! timed region is a span, whose `span.*` histogram the registry's
+//! flight recorder registers when it is created.
 
 use std::sync::Arc;
 
@@ -31,9 +32,6 @@ pub struct AdmissionMetrics {
     /// `core.admission.shed` — begins refused with a typed `Overloaded`
     /// error (try path only).
     pub shed: Arc<Counter>,
-    /// `core.admission.delay_us` — microseconds parked before admission
-    /// or shed.
-    pub delay_us: Arc<Histogram>,
     /// `core.admission.pressure` — bitmask of signals currently over
     /// limit (1 txns, 2 wal, 4 dirty).
     pub pressure: Arc<Gauge>,
@@ -45,7 +43,6 @@ impl AdmissionMetrics {
             admitted: h.counter("core.admission.admitted"),
             delayed: h.counter("core.admission.delayed"),
             shed: h.counter("core.admission.shed"),
-            delay_us: h.histogram("core.admission.delay_us"),
             pressure: h.gauge("core.admission.pressure"),
         }
     }
@@ -53,16 +50,6 @@ impl AdmissionMetrics {
 
 /// Pre-resolved handles for everything an engine records.
 pub struct EngineMetrics {
-    /// `core.engine.insert` — insert latency (ns); count doubles as ops.
-    pub insert: Arc<Histogram>,
-    /// `core.engine.update` — update latency (ns).
-    pub update: Arc<Histogram>,
-    /// `core.engine.delete` — delete latency (ns).
-    pub delete: Arc<Histogram>,
-    /// `core.engine.get` — point-lookup latency (ns).
-    pub get: Arc<Histogram>,
-    /// `core.engine.scan` — range/full scan latency (ns).
-    pub scan: Arc<Histogram>,
     /// `core.engine.chain_depth` — versions traversed per visibility
     /// resolution (the paper's chain-length cost).
     pub chain_depth: Arc<Histogram>,
@@ -90,8 +77,6 @@ pub struct EngineMetrics {
     pub gc_versions_relocated: Arc<Counter>,
     /// `core.gc.items_cleared` — data items erased entirely.
     pub gc_items_cleared: Arc<Counter>,
-    /// `core.gc.pause` — vacuum pass duration (ns).
-    pub gc_pause: Arc<Histogram>,
     /// `storage.gc.slices` — incremental GC slices run (a subset of
     /// `core.gc.runs`).
     pub gc_slices: Arc<Counter>,
@@ -128,7 +113,8 @@ pub struct EngineMetrics {
     /// The `core.admission.*` family (see [`AdmissionMetrics`]).
     pub admission: AdmissionMetrics,
     /// The registry's flight recorder, so engines open spans without a
-    /// registry round-trip. Inert until the host enables tracing.
+    /// registry round-trip. Its `span.*` histograms always record; its
+    /// ring stays off until the host enables tracing.
     pub tracer: Arc<FlightRecorder>,
 }
 
@@ -140,11 +126,6 @@ impl EngineMetrics {
         let tracer = Arc::clone(obs.tracer());
         let mut h = obs.handles();
         EngineMetrics {
-            insert: h.histogram("core.engine.insert"),
-            update: h.histogram("core.engine.update"),
-            delete: h.histogram("core.engine.delete"),
-            get: h.histogram("core.engine.get"),
-            scan: h.histogram("core.engine.scan"),
             chain_depth: h.histogram("core.engine.chain_depth"),
             scan_page_visits: h.counter("core.engine.scan_page_visits"),
             scan_versions_fetched: h.counter("core.engine.scan_versions_fetched"),
@@ -156,7 +137,6 @@ impl EngineMetrics {
             gc_versions_discarded: h.counter("core.gc.versions_discarded"),
             gc_versions_relocated: h.counter("core.gc.versions_relocated"),
             gc_items_cleared: h.counter("core.gc.items_cleared"),
-            gc_pause: h.histogram("core.gc.pause"),
             gc_slices: h.counter("storage.gc.slices"),
             gc_pages_deferred: h.counter("storage.gc.pages_deferred"),
             gc_items_contended: h.counter("storage.gc.cas_skipped"),
@@ -188,8 +168,8 @@ mod tests {
         let n = obs.len();
         let b = EngineMetrics::register(&obs);
         assert_eq!(obs.len(), n, "re-registration must not add metrics");
-        a.insert.record(10);
-        assert_eq!(b.insert.count(), 1, "handles alias the same metric");
+        a.chain_depth.record(10);
+        assert_eq!(b.chain_depth.count(), 1, "handles alias the same metric");
     }
 
     #[test]

@@ -141,9 +141,6 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
         history.txns.push(rec);
     }
 
-    // Commit latency over wall time, for the time-series sampler: the
-    // group-commit force is the dominant term at high thread counts.
-    let commit_lat = db.obs_registry().map(|r| r.histogram("workload.threaded.commit_latency"));
     let threads = cfg.threads.max(1);
     let barrier = Barrier::new(threads);
     let start = Instant::now();
@@ -152,7 +149,6 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
             .map(|ti| {
                 let barrier = &barrier;
                 let commit_seq = &commit_seq;
-                let commit_lat = commit_lat.clone();
                 scope.spawn(move || {
                     let mut rng =
                         SplitMix64(cfg.seed ^ (ti as u64).wrapping_mul(0xa076_1d64_78bd_642f));
@@ -223,12 +219,7 @@ pub fn drive_threaded<E: MvccEngine + ?Sized>(db: &E, cfg: &ThreadedConfig) -> T
                                 db.abort(txn);
                                 aborted += 1;
                             } else {
-                                let commit_start = Instant::now();
-                                let res = db.commit(txn);
-                                if let Some(h) = &commit_lat {
-                                    h.record_duration(commit_start.elapsed());
-                                }
-                                match res {
+                                match db.commit(txn) {
                                     Ok(()) => {
                                         rec.outcome = HistOutcome::Committed {
                                             commit_seq: commit_seq.fetch_add(1, Ordering::Relaxed),
